@@ -2,7 +2,7 @@
 
 Per grammar, builds one LALR table, replays a deterministic token
 workload (seed-0 generated sentences, tiled to a few hundred tokens)
-through three recognizers — the deterministic dense-row engine (with
+through three recognizers — the deterministic engine (with
 ``allow_conflicts=True`` so conflicted grammars run on their
 yacc-default winners), the :class:`~repro.parser.glr.GlrParser` over the
 same table's conflict-list view, and the cubic

@@ -412,12 +412,13 @@ def check_sentence_roundtrip(ctx: OracleContext) -> Optional[str]:
 def check_representation_parity(ctx: OracleContext) -> Optional[str]:
     """Every table representation is observationally identical.
 
-    The compressed (default-reduce) table, the displacement-packed table,
-    a binary round-trip (``table_from_bytes(table_to_bytes(t))``) and the
-    hot-loop :func:`~repro.tables.specialize.specialize` recompilation
+    The compressed (default-reduce) table, the displacement-packed table
+    and a binary round-trip (``table_from_bytes(table_to_bytes(t))``)
     must all drive the engine to the same derivation on every generated
     sentence and to the *same error* — message text, position and
-    expected set — on deterministic mutants of those sentences.  This is
+    expected set — on deterministic mutants of those sentences.  The
+    engine compiles each into the same integer arrays, so this pins the
+    row views and the expected sets each representation yields.  This is
     the live form of the representation-parity regression suite, run on
     every fuzz-campaign grammar.
     """
@@ -426,7 +427,6 @@ def check_representation_parity(ctx: OracleContext) -> Optional[str]:
     from ..tables.binfmt import table_from_bytes, table_to_bytes
     from ..tables.compress import compress
     from ..tables.displace import displace
-    from ..tables.specialize import specialize
 
     base = ctx.lalr_table
     if not base.is_deterministic:
@@ -436,10 +436,6 @@ def check_representation_parity(ctx: OracleContext) -> Optional[str]:
         ("compressed", Parser(compress(base))),
         ("displaced", Parser(displace(base))),
         ("binary", Parser(table_from_bytes(table_to_bytes(base), ctx.augmented))),
-        # The specialized table additionally changes the *loop* the
-        # engine runs (fused integer dispatch + default reductions), so
-        # this variant pins engine parity, not just row parity.
-        ("specialized", Parser(specialize(base))),
     ]
 
     sentences = ctx.sentences()

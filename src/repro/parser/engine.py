@@ -1,9 +1,17 @@
 """The LR shift-reduce parsing engine.
 
 Drives any :class:`~repro.tables.table.ParseTable` — LR(0), SLR(1),
-LALR(1) or CLR(1) — over a token stream.  The engine is the consumer that
-makes look-ahead quality *observable*: identical code, different tables,
-and only the reduce decisions differ.
+LALR(1) or CLR(1), in any row representation — over a token stream.  The
+engine is the consumer that makes look-ahead quality *observable*:
+identical code, different tables, and only the reduce decisions differ.
+
+There is one token loop.  :class:`Parser` compiles its table once
+(memoized per table object) into the flat integer arrays of
+:class:`~repro.tables.specialize.SpecializedTable` and dispatches on
+``code & 3``; reduce→goto chains are fused, and states whose rows reduce
+identically on every terminal skip the look-ahead lookup.  The
+independent references it is tested against are the RNGLR engine
+(:mod:`repro.parser.glr`) on the same table and CYK.
 
 Tokens may be given as :class:`~repro.grammar.symbols.Symbol` objects, as
 terminal name strings, or as :class:`Token` (symbol + semantic value).
@@ -22,6 +30,7 @@ from ..core import instrument
 from ..grammar.grammar import Grammar
 from ..grammar.production import Production
 from ..grammar.symbols import Symbol
+from ..tables.specialize import specialized_view
 from ..tables.table import ParseTable
 from .errors import ConflictedTableError, ParseError, syntax_error
 from .tree import Node
@@ -100,7 +109,11 @@ class Parser:
     """
 
     def __init__(self, table: ParseTable, allow_conflicts: bool = False):
-        self.table = table
+        # The compiled form drives the loop; the source rows stay as
+        # ``self.table`` for expected sets and panic-mode recovery.  A
+        # SpecializedTable argument resolves to its source.
+        self._compiled = specialized_view(table)
+        self.table = table = self._compiled.source
         self.grammar: Grammar = table.grammar
         if not self.grammar.is_augmented:
             raise ValueError("parse tables must be built over an augmented grammar")
@@ -120,17 +133,13 @@ class Parser:
                 )
             instrument.count("parser.conflicted_table")
         self._eof = self.grammar.eof
-        # The hot loop works in the grammar's integer ID layout: tokens
-        # are mapped to terminal IDs once each, then every ACTION/GOTO
+        # The loop works in the grammar's integer ID layout: tokens are
+        # mapped to terminal IDs once each, then every ACTION/GOTO
         # lookup is a flat list index (no Symbol hashing per action).
         self._ids = self.grammar.ids
         self._eof_tid = self._ids.terminal_id(self._eof)
-        # SpecializedTable (repro.tables.specialize) carries flat integer
-        # code arrays; the engine then runs the fused integer loop below
-        # instead of the generic Action-object loop.
-        self._specialized = bool(getattr(table, "is_specialized", False))
         # Name-string tokens resolve to the same (Token, tid) pair every
-        # time; the specialized loop memoizes that resolution.  Only
+        # time; the loop memoizes that resolution.  Only
         # successful resolutions are cached, so unknown-terminal and
         # nonterminal-name errors still take _normalise's path verbatim.
         self._tok_cache: dict = {}
@@ -215,245 +224,138 @@ class Parser:
         shift_fn: Callable[[Token], object],
         budget=None,
     ) -> object:
-        with instrument.span("parse.run"):
-            if self._specialized:
-                return self._run_specialized_loop(tokens, reduce_fn, shift_fn, budget)
-            return self._run_loop(tokens, reduce_fn, shift_fn, budget)
+        """The token loop over the compiled integer table.
 
-    def _run_loop(
-        self,
-        tokens: Iterable[TokenLike],
-        reduce_fn: Callable[[Production, Sequence[object]], object],
-        shift_fn: Callable[[Token], object],
-        budget=None,
-    ) -> object:
-        if budget is not None:
-            budget.enter_phase("parse")
-        state_stack: List[int] = [0]
-        value_stack: List[object] = []
-
-        ids = self._ids
-        sid_or_none = ids.sid_or_none
-        num_terminals = ids.num_terminals
-        action_rows = self.table.action_rows
-        goto_rows = self.table.goto_rows
-        productions = self.grammar.productions
-
-        # Pull tokens lazily: the stream may be an unbounded generator, so
-        # peak memory must stay O(parse stack), never O(input length).
-        stream = iter(tokens)
-        eof_token = Token(self._eof, None)
-        position = 0
-        shifts = 0
-        reduces = 0
-
-        try:
-            raw = next(stream)
-        except StopIteration:
-            token, tid = eof_token, self._eof_tid
-        else:
-            token = self._normalise(raw, position)
-            # None for symbols outside this grammar: the action lookup
-            # below then takes the ordinary syntax-error path.
-            tid = sid_or_none(token.symbol)
-
-        try:
-            while True:
-                if budget is not None:
-                    budget.charge_parse_step()
-                action = action_rows[state_stack[-1]][tid] if tid is not None else None
-                if action is None:
-                    raise self._syntax_error(position, token, state_stack[-1])
-                if action.kind == "shift":
-                    value_stack.append(shift_fn(token))
-                    state_stack.append(action.state)
-                    position += 1
-                    shifts += 1
-                    if budget is not None:
-                        budget.charge_tokens(1)
-                    try:
-                        raw = next(stream)
-                    except StopIteration:
-                        token, tid = eof_token, self._eof_tid
-                    else:
-                        token = self._normalise(raw, position)
-                        tid = sid_or_none(token.symbol)
-                    continue
-                if action.kind == "reduce":
-                    production = productions[action.production]
-                    arity = len(production.rhs_sids)
-                    if arity:
-                        children = value_stack[-arity:]
-                        del value_stack[-arity:]
-                        del state_stack[-arity:]
-                    else:
-                        children = []
-                    value_stack.append(reduce_fn(production, children))
-                    goto = goto_rows[state_stack[-1]][production.lhs_sid - num_terminals]
-                    if goto < 0:  # pragma: no cover - tables are consistent
-                        raise self._syntax_error(position, token, state_stack[-1])
-                    state_stack.append(goto)
-                    reduces += 1
-                    continue
-                # accept: the value stack holds exactly the start symbol's value.
-                assert action.kind == "accept"
-                if tid != self._eof_tid:  # pragma: no cover - table invariant
-                    raise self._syntax_error(position, token, state_stack[-1])
-                if len(value_stack) != 1:  # pragma: no cover - table invariant
-                    raise ParseError(
-                        "internal error: value stack not a singleton at accept",
-                        position,
-                        token.symbol,
-                        state_stack[-1],
-                        [],
-                    )
-                return value_stack[0]
-        finally:
-            if budget is not None:
-                budget.publish()
-            if instrument.enabled():
-                instrument.count("parse.tokens", position)
-                instrument.count("parse.shifts", shifts)
-                instrument.count("parse.reduces", reduces)
-                instrument.count("parse.actions", shifts + reduces)
-
-    def _run_specialized_loop(
-        self,
-        tokens: Iterable[TokenLike],
-        reduce_fn: Callable[[Production, Sequence[object]], object],
-        shift_fn: Callable[[Token], object],
-        budget=None,
-    ) -> object:
-        """The integer hot loop over a SpecializedTable.
-
-        Semantically a line-for-line mirror of :meth:`_run_loop` — same
-        budget charges in the same order, same instrument counters, same
-        error states — but dispatch is ``code & 3`` over flat
-        local-variable-bound lists, reduce→goto chains are fused into the
-        inner loop, and states whose rows reduce identically on every
-        terminal skip the look-ahead consultation entirely
-        (``default_codes``).  Byte-identity vs the plain loop is pinned
-        corpus-wide by tests/test_specialize.py and the fuzz
-        representation-parity oracle.
+        Dispatch is ``code & 3`` over flat local-variable-bound lists,
+        reduce→goto chains are fused into the inner loop, and states whose
+        rows reduce identically on every terminal skip the look-ahead
+        consultation entirely (``default_codes``).  Every action — fused
+        or not — charges one parse step and every shift one token, so
+        fusion never moves a budget exhaustion point.
         """
-        if budget is not None:
-            budget.enter_phase("parse")
-        table = self.table
-        state_stack: List[int] = [0]
-        value_stack: List[object] = []
+        with instrument.span("parse.run"):
+            if budget is not None:
+                budget.enter_phase("parse")
+            compiled = self._compiled
+            state_stack: List[int] = [0]
+            value_stack: List[object] = []
 
-        sid_or_none = self._ids.sid_or_none
-        normalise = self._normalise
-        tok_cache = self._tok_cache
-        tok_cache_get = tok_cache.get
-        width = table.num_terminals
-        n_nts = table.num_nonterminals
-        action_codes = table.action_codes
-        goto_codes = table.goto_codes
-        default_codes = table.default_codes
-        arities = table.arities
-        lhs_nts = table.lhs_nts
-        productions = self.grammar.productions
+            sid_or_none = self._ids.sid_or_none
+            normalise = self._normalise
+            tok_cache = self._tok_cache
+            tok_cache_get = tok_cache.get
+            width = compiled.num_terminals
+            n_nts = compiled.num_nonterminals
+            action_codes = compiled.action_codes
+            goto_codes = compiled.goto_codes
+            default_codes = compiled.default_codes
+            arities = compiled.arities
+            lhs_nts = compiled.lhs_nts
+            productions = self.grammar.productions
 
-        stream = iter(tokens)
-        eof_token = Token(self._eof, None)
-        eof_tid = self._eof_tid
-        position = 0
-        shifts = 0
-        reduces = 0
-        state = 0
+            # Pull tokens lazily: the stream may be an unbounded generator,
+            # so peak memory must stay O(parse stack), never O(input length).
+            stream = iter(tokens)
+            eof_token = Token(self._eof, None)
+            eof_tid = self._eof_tid
+            position = 0
+            shifts = 0
+            reduces = 0
+            state = 0
 
-        try:
-            raw = next(stream)
-        except StopIteration:
-            token, tid = eof_token, eof_tid
-        else:
-            entry = tok_cache_get(raw) if type(raw) is str else None
-            if entry is not None:
-                token, tid = entry
+            try:
+                raw = next(stream)
+            except StopIteration:
+                token, tid = eof_token, eof_tid
             else:
-                token = normalise(raw, position)
-                tid = sid_or_none(token.symbol)
-                if type(raw) is str:
-                    tok_cache[raw] = (token, tid)
+                entry = tok_cache_get(raw) if type(raw) is str else None
+                if entry is not None:
+                    token, tid = entry
+                else:
+                    token = normalise(raw, position)
+                    # None for symbols outside this grammar: the loop
+                    # then takes the ordinary syntax-error path.
+                    tid = sid_or_none(token.symbol)
+                    if type(raw) is str:
+                        tok_cache[raw] = (token, tid)
 
-        try:
-            while True:
-                if budget is not None:
-                    budget.charge_parse_step()
-                if tid is None:
-                    raise self._syntax_error(position, token, state)
-                code = action_codes[state * width + tid]
-                while (code & 3) == 2:
-                    # Fused reduce→goto chain: keep reducing without
-                    # bouncing through the outer dispatch.
-                    prod_index = code >> 2
-                    arity = arities[prod_index]
-                    if arity:
-                        children = value_stack[-arity:]
-                        del value_stack[-arity:]
-                        del state_stack[-arity:]
-                    else:
-                        children = []
-                    value_stack.append(reduce_fn(productions[prod_index], children))
-                    state = goto_codes[state_stack[-1] * n_nts + lhs_nts[prod_index]]
-                    if state < 0:  # pragma: no cover - tables are consistent
-                        raise self._syntax_error(position, token, state_stack[-1])
-                    state_stack.append(state)
-                    reduces += 1
+            try:
+                while True:
                     if budget is not None:
                         budget.charge_parse_step()
-                    # tid cannot be None here: it only changes on shift,
-                    # and the outer dispatch already rejected None.
-                    code = default_codes[state]
-                    if code < 0:
-                        code = action_codes[state * width + tid]
-                if code & 1:
-                    if code == 3:
-                        # accept
-                        if tid != eof_tid:  # pragma: no cover - table invariant
-                            raise self._syntax_error(position, token, state)
-                        if len(value_stack) != 1:  # pragma: no cover - table invariant
-                            raise ParseError(
-                                "internal error: value stack not a singleton at accept",
-                                position,
-                                token.symbol,
-                                state,
-                                [],
-                            )
-                        return value_stack[0]
-                    # shift
-                    value_stack.append(shift_fn(token))
-                    state = code >> 2
-                    state_stack.append(state)
-                    position += 1
-                    shifts += 1
-                    if budget is not None:
-                        budget.charge_tokens(1)
-                    try:
-                        raw = next(stream)
-                    except StopIteration:
-                        token, tid = eof_token, eof_tid
-                    else:
-                        entry = tok_cache_get(raw) if type(raw) is str else None
-                        if entry is not None:
-                            token, tid = entry
+                    if tid is None:
+                        raise self._syntax_error(position, token, state)
+                    code = action_codes[state * width + tid]
+                    while (code & 3) == 2:
+                        # Fused reduce→goto chain: keep reducing without
+                        # bouncing through the outer dispatch.
+                        prod_index = code >> 2
+                        arity = arities[prod_index]
+                        if arity:
+                            children = value_stack[-arity:]
+                            del value_stack[-arity:]
+                            del state_stack[-arity:]
                         else:
-                            token = normalise(raw, position)
-                            tid = sid_or_none(token.symbol)
-                            if type(raw) is str:
-                                tok_cache[raw] = (token, tid)
-                    continue
-                # code == 0: error cell
-                raise self._syntax_error(position, token, state)
-        finally:
-            if budget is not None:
-                budget.publish()
-            if instrument.enabled():
-                instrument.count("parse.tokens", position)
-                instrument.count("parse.shifts", shifts)
-                instrument.count("parse.reduces", reduces)
-                instrument.count("parse.actions", shifts + reduces)
+                            children = []
+                        value_stack.append(reduce_fn(productions[prod_index], children))
+                        state = goto_codes[state_stack[-1] * n_nts + lhs_nts[prod_index]]
+                        if state < 0:  # pragma: no cover - tables are consistent
+                            raise self._syntax_error(position, token, state_stack[-1])
+                        state_stack.append(state)
+                        reduces += 1
+                        if budget is not None:
+                            budget.charge_parse_step()
+                        # tid cannot be None here: it only changes on shift,
+                        # and the outer dispatch already rejected None.
+                        code = default_codes[state]
+                        if code < 0:
+                            code = action_codes[state * width + tid]
+                    if code & 1:
+                        if code == 3:
+                            # accept
+                            if tid != eof_tid:  # pragma: no cover - table invariant
+                                raise self._syntax_error(position, token, state)
+                            if len(value_stack) != 1:  # pragma: no cover - table invariant
+                                raise ParseError(
+                                    "internal error: value stack not a singleton at accept",
+                                    position,
+                                    token.symbol,
+                                    state,
+                                    [],
+                                )
+                            return value_stack[0]
+                        # shift
+                        value_stack.append(shift_fn(token))
+                        state = code >> 2
+                        state_stack.append(state)
+                        position += 1
+                        shifts += 1
+                        if budget is not None:
+                            budget.charge_tokens(1)
+                        try:
+                            raw = next(stream)
+                        except StopIteration:
+                            token, tid = eof_token, eof_tid
+                        else:
+                            entry = tok_cache_get(raw) if type(raw) is str else None
+                            if entry is not None:
+                                token, tid = entry
+                            else:
+                                token = normalise(raw, position)
+                                tid = sid_or_none(token.symbol)
+                                if type(raw) is str:
+                                    tok_cache[raw] = (token, tid)
+                        continue
+                    # code == 0: error cell
+                    raise self._syntax_error(position, token, state)
+            finally:
+                if budget is not None:
+                    budget.publish()
+                if instrument.enabled():
+                    instrument.count("parse.tokens", position)
+                    instrument.count("parse.shifts", shifts)
+                    instrument.count("parse.reduces", reduces)
+                    instrument.count("parse.actions", shifts + reduces)
 
     def _syntax_error(self, position: int, token: Token, state: int) -> ParseError:
         # The expected set comes from the dense row, not the Symbol-keyed

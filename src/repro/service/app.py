@@ -61,7 +61,6 @@ from ..tables import (
     build_lalr_table,
     build_lr0_table,
     build_slr_table,
-    specialized_view,
 )
 from .jobs import Job, JobQueue
 from .metrics import MetricsRegistry
@@ -169,13 +168,8 @@ def parse_result(
         if tree and result["trees"]:
             result["tree"] = forest.tree().format()
         return result
-    # Serve off the specialized hot loop: the recompilation is memoized
-    # on the table object, so tables coming off the hot LRU pay it once.
-    # Byte-identity with the plain engine (trees, error text, positions,
-    # expected sets, budget exhaustion points) is pinned corpus-wide by
-    # tests/test_specialize.py and the representation-parity fuzz oracle.
     try:
-        parser = Parser(specialized_view(table))
+        parser = Parser(table)
     except ConflictedTableError as error:
         raise HttpError(422, "conflicted_table", str(error))
     result = {"grammar": grammar.name, "valid": True}

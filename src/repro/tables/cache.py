@@ -17,8 +17,9 @@ startup is a single file read.  :class:`TableCache` is that layer:
   ``table.cache.corrupt`` event, delete the bad entry, and **rebuild
   instead of crashing** — the cache is an accelerator, never a new
   failure mode.
-- **Observability**: every hit/miss/corrupt/store event both increments
-  instance counters and flows through :mod:`repro.core.instrument`, so a
+- **Observability**: every hit/miss/corrupt/store event, and every
+  failed store (disk full, read-only directory: the caller still gets
+  its freshly built table), both increments instance counters and flows through :mod:`repro.core.instrument`, so a
   ``--profile`` run shows cache behaviour next to phase timings.
 
 Tables with unresolved conflicts are cacheable like any other (JSON
@@ -72,8 +73,8 @@ class TableCache:
             a cache directory can hold a mix of both.
 
     Attributes:
-        hits / misses / corrupt / stores: Event counters for this
-            instance (the same events are emitted through the
+        hits / misses / corrupt / stores / store_failures: Event
+            counters for this instance (the same events are emitted through the
             instrumentation layer as ``table.cache.*``).
     """
 
@@ -89,6 +90,7 @@ class TableCache:
         self.misses = 0
         self.corrupt = 0
         self.stores = 0
+        self.store_failures = 0
         # Bounded in-memory LRU of hot ParseTable objects, keyed like the
         # disk entries.  Opt-in (capacity 0 = off): a deserialised table
         # is cheap next to a rebuild but the in-memory object bypasses
@@ -121,13 +123,6 @@ class TableCache:
             f"{method}-{fingerprint[:32]}{self.suffix}",
         )
 
-    def _flat_path(self, method: str, fingerprint: str) -> str:
-        """The pre-sharding location — read-fallback for caches written
-        by earlier versions; new entries are never stored here."""
-        return os.path.join(
-            self.directory, f"{method}-{fingerprint[:32]}{self.suffix}"
-        )
-
     # -- read / write ---------------------------------------------------
 
     def load(self, grammar: Grammar, method: str) -> Optional[ParseTable]:
@@ -149,13 +144,7 @@ class TableCache:
         started = time.perf_counter_ns()
         with instrument.span("table.cache.load"):
             try:
-                try:
-                    table = loader(path, grammar)
-                except FileNotFoundError:
-                    # Transparent fallback: entries written before the
-                    # sharded layout live directly in the directory.
-                    path = self._flat_path(method, fingerprint)
-                    table = loader(path, grammar)
+                table = loader(path, grammar)
             except FileNotFoundError:
                 self.misses += 1
                 instrument.count("table.cache.misses")
@@ -192,6 +181,8 @@ class TableCache:
                     save_table(table, path)
                     written = os.path.getsize(path)
             except OSError:
+                self.store_failures += 1
+                instrument.count("table.cache.store_failures")
                 return False
         self.stores += 1
         instrument.count("table.cache.stores")
@@ -287,6 +278,7 @@ class TableCache:
             "misses": self.misses,
             "corrupt": self.corrupt,
             "stores": self.stores,
+            "store_failures": self.store_failures,
         }
         if self.hot_capacity:
             stats["hot_hits"] = self.hot_hits

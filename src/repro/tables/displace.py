@@ -159,8 +159,9 @@ def pack_rows(
 class _PackedActionRow:
     """One state's ACTION row, viewed through the packed comb arrays.
 
-    Supports exactly what the engine's hot loop and ``_syntax_error``
-    use: ``row[tid]`` (an :class:`Action` or None) and ``len(row)``.
+    Supports exactly what compiling the table for the engine,
+    ``_syntax_error`` and panic-mode recovery use: ``row[tid]`` (an
+    :class:`Action` or None) and ``len(row)``.
     """
 
     __slots__ = ("_table", "_state", "_displacement")

@@ -1,9 +1,9 @@
-"""Hot-loop specialization of parse tables: default reductions + fusion.
+"""Compile a parse table into the integer arrays the engine loop reads.
 
-The interpreted engine pays, per action, two list indexings, an
-attribute load and a string compare (``action.kind``).  This module
-precomputes a :class:`SpecializedTable` the engine can drive with plain
-integer arithmetic instead:
+:class:`~repro.parser.engine.Parser` drives every table — dense,
+compressed, displaced, binary — through this one compiled form, so
+the engine has exactly one token loop and every representation differs
+only in size and load time:
 
 - ``action_codes`` — the dense ACTION matrix flattened row-major into
   one Python list of encoded ints (the shared encoding from
@@ -21,113 +21,39 @@ integer arithmetic instead:
   the *same* reduce action.  Classic generators also default-reduce
   states whose rows still contain error cells and accept the resulting
   delayed error detection; this repo pins error positions, messages and
-  expected sets byte-identical across representations, so only the
-  fully-uniform rows — where consulting the look-ahead provably cannot
-  change the outcome — qualify.  ``default_codes[state]`` is the encoded
-  reduce, or ``-1``.
+  expected sets byte-identical across representations and engines, so
+  only the fully-uniform rows — where consulting the look-ahead provably
+  cannot change the outcome — qualify.  ``default_codes[state]`` is the
+  encoded reduce, or ``-1``.
 
-The engine's specialized loop (:meth:`repro.parser.engine.Parser`)
-additionally *fuses* reduce→goto chains: after a reduction lands in a
-new state it dispatches again immediately — through ``default_codes``
-when the state qualifies, through a real ``action_codes`` lookup
-otherwise — without bouncing through the generic outer loop.  Every step
-still charges the budget and checks the token exactly like the plain
-loop, so parses, budget exhaustion points, instrument counters and
-diagnostics are byte-identical (the representation-parity suite and the
-fuzz oracle pin this corpus-wide).
-
-``SpecializedTable`` keeps the full ParseTable-compatible surface —
-lazy ``action_rows``/``goto_rows`` views decode the flat codes back into
-shared :class:`~repro.tables.table.Action` objects — so ``_syntax_error``
-expected sets and :class:`~repro.parser.recovery.RecoveringParser` work
-unchanged on top of it.
+The compiled form keeps its ``source`` table: diagnostics (expected
+sets) and panic-mode recovery read the source's dense rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..grammar.symbols import Symbol
 from .displace import (
     ACTION_ACCEPT,
     ACTION_ERROR,
     ACTION_REDUCE,
     ACTION_SHIFT,
-    ActionDecoder,
     encode_action,
 )
-from .table import Action, ParseTable
+from .table import ParseTable
 
 __all__ = ["SpecializedTable", "specialize", "specialized_view"]
 
 
-class _CodedActionRow:
-    """One state's ACTION row, viewed through the flat code list.
-
-    Supports what ``_syntax_error`` and panic-mode recovery drive:
-    ``row[tid]`` (an :class:`Action` or None) and ``len(row)``.
-    """
-
-    __slots__ = ("_codes", "_base", "_width", "_decoder")
-
-    def __init__(self, codes: "List[int]", base: int, width: int,
-                 decoder: ActionDecoder):
-        self._codes = codes
-        self._base = base
-        self._width = width
-        self._decoder = decoder
-
-    def __len__(self) -> int:
-        return self._width
-
-    def __getitem__(self, terminal_id: int) -> "Optional[Action]":
-        if not 0 <= terminal_id < self._width:
-            raise IndexError(terminal_id)
-        return self._decoder.decode(self._codes[self._base + terminal_id])
-
-
-class _CodedGotoRow:
-    """One state's GOTO row over the flat code list (``-1`` absent)."""
-
-    __slots__ = ("_codes", "_base", "_width")
-
-    def __init__(self, codes: "List[int]", base: int, width: int):
-        self._codes = codes
-        self._base = base
-        self._width = width
-
-    def __len__(self) -> int:
-        return self._width
-
-    def __getitem__(self, nt_id: int) -> int:
-        if not 0 <= nt_id < self._width:
-            raise IndexError(nt_id)
-        return self._codes[self._base + nt_id]
-
-
 class SpecializedTable:
-    """A ParseTable recompiled into flat integer arrays for the engine.
-
-    A drop-in row *representation* like :class:`DisplacedTable` and
-    :class:`BinaryTable` — same grammar, same conflicts, same
-    ``action_rows``/``goto_rows`` surface — plus the specialized-loop
-    extras (``action_codes``/``goto_codes``/``default_codes``/
-    ``arities``/``lhs_nts``) that :class:`~repro.parser.engine.Parser`
-    detects via ``is_specialized``.
-    """
-
-    is_specialized = True
+    """A parse table compiled into flat integer arrays for the engine."""
 
     def __init__(self, table: ParseTable):
-        self.grammar = table.grammar
-        self.method = table.method + "+specialized"
-        self.actions = table.actions
-        self.gotos = table.gotos
-        self.conflicts = table.conflicts
-        ids = self.grammar.ids
+        self.source = table
+        ids = table.grammar.ids
         self.num_terminals = ids.num_terminals
         self.num_nonterminals = ids.num_nonterminals
-        self.decoder = ActionDecoder()
 
         width = self.num_terminals
         # Plain Python lists, not array('i'): the hot loop reads these
@@ -152,65 +78,16 @@ class SpecializedTable:
             goto_codes.extend(goto_row)
         self.goto_codes = goto_codes
 
-        productions = self.grammar.productions
+        productions = table.grammar.productions
         self.arities = [len(p.rhs_sids) for p in productions]
         self.lhs_nts = [p.lhs_sid - width for p in productions]
-
-        self.action_rows: "List[_CodedActionRow]" = [
-            _CodedActionRow(action_codes, state * width, width, self.decoder)
-            for state in range(len(table.actions))
-        ]
-        self.goto_rows: "List[_CodedGotoRow]" = [
-            _CodedGotoRow(goto_codes, state * self.num_nonterminals,
-                          self.num_nonterminals)
-            for state in range(len(table.gotos))
-        ]
-
-    # -- ParseTable-compatible surface ---------------------------------
-
-    @property
-    def n_states(self) -> int:
-        return len(self.action_rows)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self):
-        return [c for c in self.conflicts if not c.resolved_by_precedence]
-
-    def action(self, state: int, terminal: Symbol) -> "Optional[Action]":
-        return self.actions[state].get(terminal)
-
-    def goto(self, state: int, nonterminal: Symbol) -> "Optional[int]":
-        return self.gotos[state].get(nonterminal)
-
-    def action_by_id(self, state: int, terminal_id: int) -> "Optional[Action]":
-        return self.action_rows[state][terminal_id]
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        return self.goto_rows[state][nt_id]
-
-    def conflict_summary(self) -> "Dict[str, int]":
-        summary = {"shift_reduce": 0, "reduce_reduce": 0, "resolved": 0}
-        for conflict in self.conflicts:
-            if conflict.resolved_by_precedence:
-                summary["resolved"] += 1
-            elif conflict.kind == "shift/reduce":
-                summary["shift_reduce"] += 1
-            else:
-                summary["reduce_reduce"] += 1
-        return summary
-
-    # -- accounting -----------------------------------------------------
 
     def specialization_stats(self) -> "Dict[str, int]":
         """Machine-independent figures, pure functions of the table (the
         hot-loop bench drift-checks these)."""
         populated = sum(1 for code in self.action_codes if code != ACTION_ERROR)
         return {
-            "states": self.n_states,
+            "states": len(self.default_codes),
             "action_cells": len(self.action_codes),
             "populated_cells": populated,
             "default_states": sum(1 for c in self.default_codes if c >= 0),
@@ -228,23 +105,25 @@ class SpecializedTable:
 
 
 def specialize(table: ParseTable) -> SpecializedTable:
-    """Recompile *table* (any dense-row representation) for the hot loop."""
+    """Compile *table* (any dense-row representation) for the engine."""
     return SpecializedTable(table)
 
 
 def specialized_view(table) -> SpecializedTable:
-    """A memoized :func:`specialize` of *table*.
+    """A memoized :func:`specialize` of *table*; a compiled table is
+    returned as is.
 
-    The service parse path calls this per request on tables that come off
-    the hot LRU; recompiling once per table object (not per request) keeps
-    the specialization cost off the steady-state path.  Safe under the
-    service's thread executor: the build is idempotent and the attribute
-    publish is atomic.
+    Every :class:`~repro.parser.engine.Parser` construction calls this,
+    and the service constructs one per request on tables that come off
+    the hot LRU; compiling once per table object (not per parser) keeps
+    the cost off the steady-state path.  Safe under the service's thread
+    executor: the build is idempotent and the attribute publish is
+    atomic.
     """
-    if getattr(table, "is_specialized", False):
+    if isinstance(table, SpecializedTable):
         return table
     cached = getattr(table, "_specialized_view", None)
-    if cached is None:
+    if cached is None or cached.source is not table:
         cached = SpecializedTable(table)
         try:
             table._specialized_view = cached

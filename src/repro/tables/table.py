@@ -9,8 +9,9 @@ A :class:`ParseTable` is the classic ACTION/GOTO pair:
 Alongside the Symbol-keyed dict rows, every table carries **dense
 ID-indexed rows** (``action_rows[state][terminal_id]``,
 ``goto_rows[state][nt_id]``) built from the grammar's
-:class:`~repro.grammar.symbols.SymbolIds` layout — the parse engine's
-hot loop indexes these flat lists instead of hashing Symbols.
+:class:`~repro.grammar.symbols.SymbolIds` layout — the parse engine
+compiles these flat lists into its integer arrays instead of hashing
+Symbols.
 
 Conflicts found while filling a cell are recorded (see
 :mod:`repro.tables.conflicts`), a deterministic winner is kept in the

@@ -9,11 +9,14 @@ tests pin the properties serving depends on:
   or torn entry, and every process computes the identical table;
 - the thread-safe hot-table LRU counts hits and evictions exactly;
 - an injected corrupt entry is silently evicted and rebuilt — at the
-  cache layer and straight through a served ``/compile``.
+  cache layer and straight through a served ``/compile``;
+- a full store (every save fails with ``ENOSPC``) serves the same bytes
+  as an uncached service and counts each failed store.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -157,6 +160,7 @@ class TestHotLruExactCounters:
             "hits": 1,
             "misses": 3,
             "stores": 3,
+            "store_failures": 0,
             "corrupt": 0,
             "hot_hits": 2,
             "hot_evictions": 2,
@@ -211,3 +215,41 @@ class TestCorruptionRecovery:
             counters = client.get("/metrics?format=json").json()["cache"]
             assert counters["corrupt"] == 1
             assert client.post("/compile", {"corpus": "expr_prec"}).body == expected
+
+
+class TestFullStore:
+    REQUESTS = [
+        ("/compile", {"corpus": "expr_prec"}),
+        ("/compile", {"corpus": "expr_prec"}),
+        ("/parse", {"corpus": "expr", "input": "id + id * id", "tree": True}),
+        ("/parse", {"corpus": "expr", "input": "id + +"}),
+    ]
+
+    @pytest.mark.parametrize("backend", ["json", "bin"])
+    def test_disk_full_serves_identically_and_counts(
+        self, tmp_path, monkeypatch, backend
+    ):
+        with ServiceThread() as uncached:
+            client = Client(uncached.port)
+            expected = [client.post(path, body).body for path, body in self.REQUESTS]
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("repro.tables.cache.save_table", disk_full)
+        monkeypatch.setattr("repro.tables.cache.save_binary_table", disk_full)
+        with ServiceThread(
+            cache_dir=str(tmp_path / "store"), cache_backend=backend
+        ) as thread:
+            client = Client(thread.port)
+            served = [client.post(path, body).body for path, body in self.REQUESTS]
+            assert served == expected
+            metrics = client.get("/metrics?format=json").json()
+        # Nothing was stored, so no hot entry either: every request
+        # rebuilt its table and tried (and failed) to store it once.
+        assert metrics["cache"]["stores"] == 0
+        assert metrics["cache"]["store_failures"] == len(self.REQUESTS)
+        assert metrics["counters"]["table.cache.store_failures"] == len(
+            self.REQUESTS
+        )
+        assert thread.service.cache.entry_paths() == []

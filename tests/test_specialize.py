@@ -1,21 +1,24 @@
-"""Byte-identity suite: the specialized hot loop vs the plain engine.
+"""The engine's one token loop against references that share none of it.
 
-The :class:`~repro.tables.specialize.SpecializedTable` changes *how* the
-engine runs — flat integer dispatch, fused reduce→goto chains, default
-reductions, token memoization — and is allowed to change nothing the
-caller can observe.  Corpus-wide, for every deterministic LALR grammar:
+:class:`~repro.parser.engine.Parser` compiles every table into the
+integer arrays of :class:`~repro.tables.specialize.SpecializedTable` —
+flat dispatch, fused reduce→goto chains, default reductions, token
+memoization — and runs a single loop over them.  Corpus-wide, for every
+deterministic LALR grammar, that loop must agree with:
 
-- identical parse trees (structure, productions, token values),
-- identical errors on mutated sentences — message, position, state and
-  expected set,
-- identical traces,
-- identical budget exhaustion points and progress counters,
-- identical instrument counters,
-- identical panic-mode recovery (error list and sync positions).
+- the RNGLR engine on the same table: identical parse trees, and
+  identical errors on mutated sentences — message, position, state and
+  expected set;
+- the reference tree itself: the trace is its post-order walk plus
+  ``accept``, and the ``parse.*`` counters are its leaf count,
+  interior-node count and the input length;
+- budget exhaustion points recorded as literals while two independent
+  loops agreed on them.
 
-Plus the specialization invariants themselves: a default reduction only
-on fully-uniform reduce rows, ParseTable surface parity cell-for-cell,
-and the fuzz oracle wiring that keeps this pinned on random grammars.
+Plus the compilation invariants: a default reduction only on
+fully-uniform reduce rows, the arrays decode back to the source table
+cell for cell, every row representation compiles to the same arrays,
+and panic-mode recovery reads every representation's rows alike.
 """
 
 from __future__ import annotations
@@ -26,21 +29,27 @@ from repro.analysis.derive import SentenceGenerator
 from repro.core import instrument
 from repro.core.budget import Budget, BudgetExceeded
 from repro.grammars import corpus
-from repro.parser import ParseError, Parser, RecoveringParser
+from repro.parser import GlrParser, ParseError, Parser, RecoveringParser, Token
+from repro.parser.tree import count_nodes
 from repro.tables import (
     SpecializedTable,
     build_lalr_table,
+    compress,
+    displace,
     specialize,
     specialized_view,
+    table_from_bytes,
+    table_to_bytes,
 )
 from repro.tables.displace import (
     ACTION_ERROR,
     ACTION_REDUCE,
+    ActionDecoder,
     encode_action,
 )
 
 #: Corpus grammars whose LALR table is deterministic (the engine refuses
-#: conflicted tables in both loops, so parity is defined over these).
+#: conflicted tables, so parity is defined over these).
 DETERMINISTIC = [
     name
     for name in corpus.names()
@@ -49,10 +58,20 @@ DETERMINISTIC = [
 
 
 def _pair(name):
-    """(plain parser, specialized parser, augmented grammar)."""
+    """(engine parser, RNGLR reference on the same table, augmented grammar)."""
     grammar = corpus.load(name).augmented()
     table = build_lalr_table(grammar)
-    return Parser(table), Parser(specialize(table)), grammar
+    return Parser(table), GlrParser(table), grammar
+
+
+def _representations(table):
+    """Every row representation of *table*, labelled."""
+    return [
+        ("dense", table),
+        ("compressed", compress(table)),
+        ("displaced", displace(table)),
+        ("binary", table_from_bytes(table_to_bytes(table), table.grammar)),
+    ]
 
 
 def _sentences(grammar, count=6, budget=30):
@@ -92,125 +111,135 @@ def _error_of(parser, tokens):
     return None
 
 
-def _tree_repr(node):
-    return node.format()
+def _post_order(node):
+    """The shift/reduce lines an LR parse of *node*'s fringe emits."""
+    if node.is_leaf:
+        return [f"shift {node.symbol.name}"]
+    lines = []
+    for child in node.children:
+        lines.extend(_post_order(child))
+    lines.append(f"reduce {node.production}")
+    return lines
+
+
+def _budget_outcome(parser, tokens, budget):
+    try:
+        parser.parse(tokens, budget=budget)
+    except BudgetExceeded as error:
+        return (error.phase, error.resource, error.limit, error.progress)
+    return None
 
 
 class TestTreeParity:
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_trees_identical_corpus_wide(self, name):
-        plain, fast, grammar = _pair(name)
+        parser, glr, grammar = _pair(name)
         for sentence in _sentences(grammar):
-            reference = plain.parse(sentence)
-            specialized = fast.parse(sentence)
-            assert _tree_repr(specialized) == _tree_repr(reference)
-            assert specialized.derivation() == reference.derivation()
-            assert specialized.fringe() == reference.fringe()
+            reference = glr.parse(sentence)
+            tree = parser.parse(sentence)
+            assert tree.format() == reference.format()
+            assert tree.derivation() == reference.derivation()
+            assert tree.fringe() == reference.fringe()
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_traces_identical(self, name):
-        plain, fast, grammar = _pair(name)
+        parser, glr, grammar = _pair(name)
         for sentence in _sentences(grammar, count=3):
-            assert fast.trace(sentence) == plain.trace(sentence)
+            expected = _post_order(glr.parse(sentence)) + ["accept"]
+            assert parser.trace(sentence) == expected
 
     def test_token_values_survive_memoization(self):
-        # The specialized loop memoizes *string* tokens; Token objects
-        # with semantic values must bypass the cache untouched.
-        from repro.parser import Token
-
+        # The loop memoizes *string* tokens; Token objects with semantic
+        # values must bypass the cache untouched.
         grammar = corpus.load("expr").augmented()
-        table = build_lalr_table(grammar)
-        plain = Parser(table)
-        fast = Parser(specialize(table))
+        parser = Parser(build_lalr_table(grammar))
         id_symbol = grammar.symbols["id"]
         tokens = [Token(id_symbol, 1), "+", Token(id_symbol, 2)]
-        values = [leaf.value for leaf in fast.parse(tokens).leaves()]
-        assert values[0] == 1 and values[2] == 2
-        assert values == [
-            leaf.value for leaf in plain.parse(tokens).leaves()
-        ]
+        for _ in range(2):  # the second parse runs on a warm memo
+            values = [leaf.value for leaf in parser.parse(tokens).leaves()]
+            assert values == [1, "+", 2]
 
     def test_repeated_tokens_hit_the_cache_consistently(self):
-        plain, fast, grammar = _pair("expr")
+        parser, glr, _ = _pair("expr")
         tokens = "id + id * id + id * id".split()
+        expected = glr.parse(tokens).format()
         for _ in range(3):  # reuse the same parser: warm-cache parses
-            assert _tree_repr(fast.parse(tokens)) == _tree_repr(
-                plain.parse(tokens)
-            )
+            assert parser.parse(tokens).format() == expected
 
 
 class TestErrorParity:
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_errors_identical_on_mutants(self, name):
-        plain, fast, grammar = _pair(name)
+        parser, glr, grammar = _pair(name)
         sentences = _sentences(grammar)
         for stream in _mutants(grammar, sentences):
-            assert _error_of(fast, stream) == _error_of(plain, stream), stream
+            assert _error_of(parser, stream) == _error_of(glr, stream), stream
 
     def test_unknown_terminal_path_identical(self):
-        plain, fast, _ = _pair("expr")
-        assert _error_of(fast, ["id", "zzz"]) == _error_of(plain, ["id", "zzz"])
+        parser, glr, _ = _pair("expr")
+        assert _error_of(parser, ["id", "zzz"]) == _error_of(glr, ["id", "zzz"])
 
     def test_error_caching_never_caches_failures(self):
         # An unknown terminal must fail identically on every attempt —
         # the memo only stores successful resolutions.
-        _, fast, _ = _pair("expr")
-        first = _error_of(fast, ["zzz"])
-        second = _error_of(fast, ["zzz"])
+        parser, _, _ = _pair("expr")
+        first = _error_of(parser, ["zzz"])
+        second = _error_of(parser, ["zzz"])
         assert first == second is not None
 
 
 class TestBudgetParity:
-    @pytest.mark.parametrize("cap", [1, 3, 7])
-    def test_parse_step_exhaustion_point_identical(self, cap):
-        plain, fast, grammar = _pair("expr")
+    """Exhaustion points as literals: recorded while the Action-object
+    interpreter and the integer loop ran side by side and agreed."""
+
+    @pytest.mark.parametrize(
+        "cap, progress",
+        [
+            (1, {"tokens": 1, "parse_steps": 2, "checks": 4}),
+            (3, {"tokens": 2, "parse_steps": 4, "checks": 7}),
+            (7, {"tokens": 4, "parse_steps": 8, "checks": 13}),
+        ],
+        ids=["1", "3", "7"],
+    )
+    def test_parse_step_exhaustion_point_identical(self, cap, progress):
+        parser, _, _ = _pair("expr")
         tokens = "( id + id ) * id".split()
-        outcomes = []
-        for parser in (plain, fast):
-            try:
-                parser.parse(tokens, budget=Budget(max_parse_steps=cap))
-                outcomes.append(None)
-            except BudgetExceeded as error:
-                outcomes.append(
-                    (error.phase, error.resource, error.limit, error.progress)
-                )
-        assert outcomes[0] == outcomes[1]
+        assert _budget_outcome(
+            parser, tokens, Budget(max_parse_steps=cap)
+        ) == ("parse", "max_parse_steps", cap, progress)
 
     def test_token_cap_identical(self):
-        plain, fast, grammar = _pair("json")
-        sentence = _sentences(grammar, count=1)[0]
-        outcomes = []
-        for parser in (plain, fast):
-            try:
-                parser.parse(sentence, budget=Budget(max_tokens=2))
-                outcomes.append(None)
-            except BudgetExceeded as error:
-                outcomes.append(
-                    (error.phase, error.resource, error.limit, error.progress)
-                )
-        assert outcomes[0] == outcomes[1]
+        parser, _, _ = _pair("json")
+        tokens = "{ STRING : NUMBER , STRING : true }".split()
+        assert _budget_outcome(parser, tokens, Budget(max_tokens=2)) == (
+            "parse",
+            "max_tokens",
+            2,
+            {"tokens": 3, "parse_steps": 3, "checks": 7},
+        )
 
 
 class TestInstrumentParity:
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_counters_identical_corpus_wide(self, name):
-        plain, fast, grammar = _pair(name)
+        parser, glr, grammar = _pair(name)
         for sentence in _sentences(grammar, count=3):
-            with instrument.profile() as reference:
-                plain.parse(sentence)
-            with instrument.profile() as specialized:
-                fast.parse(sentence)
-            ref = {k: v for k, v in reference.counters.items()
+            interior, leaves = count_nodes(glr.parse(sentence))
+            with instrument.profile() as collector:
+                parser.parse(sentence)
+            got = {k: v for k, v in collector.counters.items()
                    if k.startswith("parse.")}
-            got = {k: v for k, v in specialized.counters.items()
-                   if k.startswith("parse.")}
-            assert got == ref
+            assert got == {
+                "parse.tokens": len(sentence),
+                "parse.shifts": leaves,
+                "parse.reduces": interior,
+                "parse.actions": leaves + interior,
+            }
 
 
 class TestRecoveryParity:
-    """Panic-mode recovery drives the duck-typed dense-row surface; the
-    specialized table's lazy row views must behave cell-for-cell like
-    the originals."""
+    """Panic-mode recovery reads the source table's rows; every row
+    representation must recover cell-for-cell like the dense table."""
 
     def _sync_for(self, grammar):
         names = {t.name for t in grammar.terminals}
@@ -221,19 +250,23 @@ class TestRecoveryParity:
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_recovered_error_lists_identical(self, name):
-        plain, fast, grammar = _pair(name)
+        grammar = corpus.load(name).augmented()
+        table = build_lalr_table(grammar)
         sync = self._sync_for(grammar)
-        sentences = _sentences(grammar)
-        for stream in _mutants(grammar, sentences):
-            reference = RecoveringParser(plain, sync).check(stream)
-            specialized = RecoveringParser(fast, sync).check(stream)
-            assert [
-                (str(e), e.position, e.state, [s.name for s in e.expected])
-                for e in specialized
-            ] == [
-                (str(e), e.position, e.state, [s.name for s in e.expected])
-                for e in reference
-            ], stream
+        checkers = [
+            (label, RecoveringParser(Parser(rep), sync))
+            for label, rep in _representations(table)
+        ]
+        for stream in _mutants(grammar, _sentences(grammar)):
+            outcomes = {
+                label: [
+                    (str(e), e.position, e.state, [s.name for s in e.expected])
+                    for e in checker.check(stream)
+                ]
+                for label, checker in checkers
+            }
+            for label, outcome in outcomes.items():
+                assert outcome == outcomes["dense"], (label, stream)
 
 
 class TestSpecializationInvariants:
@@ -260,19 +293,38 @@ class TestSpecializationInvariants:
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_parse_table_surface_parity(self, name):
+        """The compiled arrays decode back to the source table's
+        ``action_by_id``/``goto_by_id`` surface, cell for cell."""
         grammar = corpus.load(name).augmented()
         table = build_lalr_table(grammar)
         fast = specialize(table)
-        assert fast.n_states == table.n_states
-        assert fast.is_deterministic == table.is_deterministic
-        assert fast.conflict_summary() == table.conflict_summary()
+        decoder = ActionDecoder()
+        width, n_nts = fast.num_terminals, fast.num_nonterminals
+        assert len(fast.default_codes) == table.n_states
+        assert len(fast.action_codes) == table.n_states * width
+        assert len(fast.goto_codes) == table.n_states * n_nts
         for state in range(table.n_states):
-            for tid in range(len(table.action_rows[state])):
-                assert fast.action_by_id(state, tid) == table.action_by_id(
-                    state, tid
+            for tid in range(width):
+                assert decoder.decode(
+                    fast.action_codes[state * width + tid]
+                ) == table.action_by_id(state, tid)
+            for nt in range(n_nts):
+                assert fast.goto_codes[state * n_nts + nt] == table.goto_by_id(
+                    state, nt
                 )
-            for nt in range(len(table.goto_rows[state])):
-                assert fast.goto_by_id(state, nt) == table.goto_by_id(state, nt)
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_representations_compile_identically(self, name):
+        """Dense, compressed, displaced and binary round-trip tables —
+        conflicted ones included — compile to the same arrays, so the
+        representation decides size and load time, never the loop."""
+        table = build_lalr_table(corpus.load(name).augmented())
+        reference = specialize(table)
+        for label, rep in _representations(table)[1:]:
+            compiled = specialize(rep)
+            assert compiled.action_codes == reference.action_codes, label
+            assert compiled.goto_codes == reference.goto_codes, label
+            assert compiled.default_codes == reference.default_codes, label
 
     def test_stats_are_pure_functions_of_the_table(self):
         grammar = corpus.load("expr").augmented()
@@ -300,35 +352,12 @@ class TestSpecializationInvariants:
         first = specialized_view(table)
         assert specialized_view(table) is first
         assert isinstance(first, SpecializedTable)
+        assert first.source is table
 
     def test_specialized_view_of_specialized_is_identity(self):
         table = build_lalr_table(corpus.load("expr").augmented())
         fast = specialize(table)
         assert specialized_view(fast) is fast
-
-
-class TestOracleWiring:
-    def test_parity_oracle_exercises_specialize(self, monkeypatch):
-        """The fuzz oracle must recompile through specialize() — if the
-        wiring disappears, random-grammar coverage silently loses the
-        hot loop."""
-        import importlib
-
-        # `repro.tables` re-exports the *function* under the same name,
-        # so reach the submodule itself for patching.
-        module = importlib.import_module("repro.tables.specialize")
-        from repro.fuzz.oracles import run_oracles
-
-        calls = []
-        original = module.specialize
-
-        def spy(table):
-            calls.append(table)
-            return original(table)
-
-        monkeypatch.setattr(module, "specialize", spy)
-        failures = run_oracles(
-            corpus.load("expr"), names=["representation-parity"], seed=3
-        )
-        assert failures == []
-        assert calls, "representation-parity never called specialize()"
+        # A compiled table handed to the engine resolves to its source,
+        # which diagnostics and recovery read.
+        assert Parser(fast).table is table

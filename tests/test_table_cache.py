@@ -39,7 +39,9 @@ class TestRoundTrip:
         table = cache.load_or_build(grammar, "lalr1", builder)
         assert calls == [grammar.name]
         assert table.is_deterministic
-        assert cache.stats() == {"hits": 0, "misses": 1, "corrupt": 0, "stores": 1}
+        assert cache.stats() == {
+            "hits": 0, "misses": 1, "corrupt": 0, "stores": 1, "store_failures": 0,
+        }
         assert os.path.exists(cache.path_for(grammar, "lalr1"))
 
     def test_second_build_hits(self, grammar, cache):
@@ -103,7 +105,9 @@ class TestInvalidation:
         table = cache.load_or_build(grammar, "lalr1", builder)
         assert len(calls) == 2  # silent rebuild, no exception
         assert table.actions == reference.actions
-        assert cache.stats() == {"hits": 0, "misses": 2, "corrupt": 1, "stores": 2}
+        assert cache.stats() == {
+            "hits": 0, "misses": 2, "corrupt": 1, "stores": 2, "store_failures": 0,
+        }
         # The damaged entry was replaced by the fresh store: next run hits.
         cache.load_or_build(grammar, "lalr1", builder)
         assert cache.hits == 1 and len(calls) == 2
@@ -164,6 +168,7 @@ class TestStore:
         table = cache.load_or_build(grammar, "lalr1", build_lalr_table)
         assert table.is_deterministic
         assert cache.stores == 0
+        assert cache.store_failures == 1
 
     def test_clear_removes_entries(self, grammar, cache):
         cache.load_or_build(grammar, "lalr1", build_lalr_table)
@@ -291,6 +296,21 @@ class TestFormatMigration:
             assert json.load(handle)["format"] == FORMAT_VERSION
         cache.load_or_build(grammar, "lalr1", builder)
         assert cache.hits == 1 and calls == [grammar.name]
+
+    def test_flat_layout_entry_is_a_miss(self, grammar, cache):
+        """Entries are only read from their fingerprint-prefix shard; an
+        intact entry in the pre-sharding flat layout is never looked up."""
+        from repro.tables.serialize import save_table
+
+        sharded = cache.path_for(grammar, "lalr1")
+        os.makedirs(cache.directory)
+        save_table(
+            build_lalr_table(grammar),
+            os.path.join(cache.directory, os.path.basename(sharded)),
+        )
+        assert cache.load(grammar, "lalr1") is None
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["corrupt"] == 0
 
 
 def _concurrent_writer(directory, barrier, iterations):
