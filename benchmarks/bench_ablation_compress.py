@@ -1,18 +1,17 @@
 """Ablation C — default-reduction table compression.
 
 Quantifies the classic generator optimisation applied on top of the
-DP-built LALR tables: populated cells before/after compression and the
-parse-throughput cost of the extra default-lookup indirection (expected
-to be near zero — the dict miss plus a list index).
+DP-built LALR tables: populated cells before/after compression, the
+ratio, and the time compression takes.  It is a size ablation only: the
+parse engines always run on the uncompressed table's code arrays, so
+compression never reaches the parse loop.
 
 Regenerate:  pytest benchmarks/bench_ablation_compress.py --benchmark-only -s
 """
 
 import pytest
 
-from repro.analysis import SentenceGenerator
 from repro.bench import Timer, format_table
-from repro.parser import Parser
 from repro.tables import build_lalr_table
 from repro.tables.compress import compress
 
@@ -24,60 +23,33 @@ NAMES = ["expr", "json", "lua_like_chunks", "mini_pascal_det", "mini_c"]
 TABLES = {}
 for name in NAMES:
     grammar, automaton = PREPARED[name]
-    table = build_lalr_table(grammar, automaton)
-    TABLES[name] = (grammar, table, compress(table))
+    TABLES[name] = build_lalr_table(grammar, automaton)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_compression_time(benchmark, name):
-    _, table, _ = TABLES[name]
+    table = TABLES[name]
     benchmark(lambda: compress(table))
-
-
-@pytest.mark.parametrize("name", ["expr", "mini_pascal_det"])
-@pytest.mark.parametrize("variant", ["plain", "compressed"])
-def test_parse_with_table_variant(benchmark, name, variant):
-    grammar, table, compressed = TABLES[name]
-    parser = Parser(table if variant == "plain" else compressed)
-    sentences = SentenceGenerator(grammar, seed=13).sentences(40, budget=60)
-
-    def parse_all():
-        for sentence in sentences:
-            parser.parse(sentence)
-
-    benchmark(parse_all)
 
 
 def test_report_ablation_compress(benchmark):
     def build():
         rows = []
         for name in NAMES:
-            grammar, table, compressed = TABLES[name]
-            plain_parser = Parser(table)
-            compact_parser = Parser(compressed)
-            sentences = SentenceGenerator(grammar, seed=13).sentences(40, budget=60)
-            tokens = sum(len(s) for s in sentences) or 1
-            with Timer() as plain_time:
-                for sentence in sentences:
-                    plain_parser.parse(sentence)
-            with Timer() as compact_time:
-                for sentence in sentences:
-                    compact_parser.parse(sentence)
+            table = TABLES[name]
+            with Timer() as compress_time:
+                compressed = compress(table)
             rows.append([
                 name,
                 table.size_cells(),
                 compressed.size_cells(),
                 round(table.size_cells() / compressed.size_cells(), 2),
-                int(tokens / plain_time.seconds) if plain_time.seconds else 0,
-                int(tokens / compact_time.seconds) if compact_time.seconds else 0,
+                round(compress_time.seconds * 1e3, 3),
             ])
         return rows
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    headers = [
-        "grammar", "cells", "compressed_cells", "ratio",
-        "plain_tok_per_s", "compressed_tok_per_s",
-    ]
+    headers = ["grammar", "cells", "compressed_cells", "ratio", "compress_ms"]
     print(banner("Ablation C — default-reduction compression"))
     print(format_table(headers, rows))
     for row in rows:

@@ -1,17 +1,15 @@
-"""Table-artifact benchmarks: representation throughput and load latency.
+"""Table-artifact benchmarks: artifact sizes, packing and load latency.
 
-PR-over-PR the repo grew four interchangeable representations of one
-LALR(1) table — the plain dense :class:`~repro.tables.table.ParseTable`,
-the sparse default-reduce :class:`~repro.tables.compress.CompressedTable`,
-the comb-packed :class:`~repro.tables.displace.DisplacedTable`, and the
-mmap-loaded :class:`~repro.tables.binfmt.BinaryTable`.  This module
-measures what distinguishes them:
+A parse table has one stored form — the flat code arrays of
+:class:`~repro.tables.table.ParseTable` — and two on-disk artifacts (JSON
+and binary), plus the comb-packed size figures of
+:class:`~repro.tables.displace.DisplacedTable`.  This module measures:
 
-- **engine throughput** (tokens/sec) with each representation driving
-  the identical engine over the identical deterministic sentence
-  workload, and
-- **cold-load latency**: JSON parse + row rebuild vs the binary header
-  check + mmap (the binary path defers row decoding entirely).
+- **engine throughput** (tokens/sec) of the one engine loop over the
+  table, on a deterministic sentence workload, and
+- **cold-load latency**: JSON parse + row rebuild vs the binary loader's
+  verified copy (header and CRC checks, then the two code sections
+  copied into arrays; no cell is decoded).
 
 Wall-clock figures do not transfer across machines, so — exactly like
 :mod:`repro.bench.harness` — the baseline file commits to the
@@ -41,7 +39,6 @@ from ..grammar.grammar import Grammar
 from ..parser.engine import Parser
 from ..tables.binfmt import load_binary_table, save_binary_table, table_to_bytes
 from ..tables.build import build_lalr_table
-from ..tables.compress import compress
 from ..tables.displace import displace
 from ..tables.serialize import load_table, save_table, table_to_dict
 from .harness import _load_spec, time_callable
@@ -104,42 +101,16 @@ def snapshot_entry(grammar: Grammar, repeats: int = 5) -> Dict:
     if not table.is_deterministic:
         return {"skipped": "table has unresolved conflicts"}
 
-    displaced = displace(table)
-    stats = displaced.packing_stats()
+    stats = displace(table).packing_stats()
     json_bytes = len(json.dumps(table_to_dict(table)).encode("utf-8"))
     bin_bytes = len(table_to_bytes(table))
-
-    sentences = _workload(grammar)
-    representations = {
-        "plain": table,
-        "compressed": compress(table),
-        "displaced": displaced,
-    }
-    throughput = {
-        name: _throughput(Parser(rep), sentences, repeats)
-        for name, rep in representations.items()
-    }
-
+    tokens_per_sec = _throughput(Parser(table), _workload(grammar), repeats)
     json_seconds, _ = _cold_load(
         save_table, load_table, table, grammar, ".json", repeats
     )
     bin_seconds, _ = _cold_load(
         save_binary_table, load_binary_table, table, grammar, ".rtb", repeats
     )
-    # The binary representation is measured end-to-end: cold-load the
-    # artifact, then parse — the lazy row decode is charged to the parse.
-    descriptor, path = tempfile.mkstemp(suffix=".rtb")
-    os.close(descriptor)
-    try:
-        save_binary_table(table, path)
-        throughput["binary"] = _throughput(
-            Parser(load_binary_table(path, grammar)), sentences, repeats
-        )
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
     return {
         "counters": {
@@ -152,7 +123,7 @@ def snapshot_entry(grammar: Grammar, repeats: int = 5) -> Dict:
             "json_bytes": json_bytes,
             "bin_bytes": bin_bytes,
         },
-        "tokens_per_sec": throughput,
+        "tokens_per_sec": tokens_per_sec,
         "cold_load_seconds": {"json": json_seconds, "bin": bin_seconds},
     }
 
@@ -199,14 +170,12 @@ def compare_artifacts_baseline(
             value = entry["counters"].get(key)
             if value != base_value:
                 drift.append(f"{name}: counter {key} {base_value} -> {value}")
-        base_tput = base.get("tokens_per_sec", {})
-        for rep, tokens_per_sec in entry.get("tokens_per_sec", {}).items():
-            rows.append([
-                name,
-                f"tokens/sec[{rep}]",
-                base_tput.get(rep, 0.0),
-                tokens_per_sec,
-            ])
+        rows.append([
+            name,
+            "tokens/sec",
+            base.get("tokens_per_sec", 0.0),
+            entry["tokens_per_sec"],
+        ])
         base_load = base.get("cold_load_seconds", {})
         for fmt, seconds in entry.get("cold_load_seconds", {}).items():
             rows.append([
@@ -267,8 +236,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             continue
         for key, value in entry["counters"].items():
             print(f"  {key:20s} {value:>12,}")
-        for rep, tokens_per_sec in entry["tokens_per_sec"].items():
-            print(f"  tokens/sec[{rep}]{'':6s} {tokens_per_sec:>12,.0f}")
+        print(f"  {'tokens/sec':20s} {entry['tokens_per_sec']:>12,.0f}")
         for fmt, seconds in entry["cold_load_seconds"].items():
             print(f"  cold-load[{fmt}]{'':8s} {seconds * 1e6:>10,.1f} us")
     return 0

@@ -4,11 +4,12 @@ Boots a real :class:`~repro.service.ServiceThread` twice — once
 in-process (``pool_workers=1``) and once over an N-worker process pool
 sharing one ``bin`` artifact store — and drives the same
 compile-then-parse recipe against both from several concurrent client
-threads.  Reports aggregate parse requests/second per tier —
-**informational**, they depend on the runner and its core count (a
-single-core machine cannot show pool speedup; CI runners can) — plus
-machine-independent counters that are pure functions of the serving
-contract:
+threads (a grammar whose table keeps unresolved conflicts, such as
+mini_c's dangling else, is parsed with ``"engine": "glr"``).  Reports
+aggregate parse requests/second per tier — **informational**, they
+depend on the runner and its core count (a single-core machine cannot
+show pool speedup; CI runners can) — plus machine-independent counters
+that are pure functions of the serving contract:
 
 - ``parse_bytes`` per grammar — responses are canonical JSON, so the
   pooled tier must serve the *same bytes* the in-process tier does;
@@ -53,12 +54,16 @@ def _drive(
     """
     from ..service import Client
 
-    jobs: "List[Tuple[str, List[str]]]" = []
+    jobs: "List[Tuple[str, dict]]" = []
     for name in grammars:
         response = Client(port).post("/compile", {"corpus": name})
         assert response.status == 200, (name, response.status)
-        tokens = grammar_tokens(name)
-        jobs.extend((name, tokens) for _ in range(requests))
+        payload = {"corpus": name, "input": grammar_tokens(name)}
+        if not response.json()["deterministic"]:
+            # The deterministic engine refuses a table with unresolved
+            # conflicts (mini_c keeps the dangling else): parse with GLR.
+            payload["engine"] = "glr"
+        jobs.extend((name, payload) for _ in range(requests))
 
     bodies: "Dict[str, bytes]" = {}
     failures: "List[str]" = []
@@ -72,8 +77,8 @@ def _drive(
                 index = next(cursor, None)
             if index is None:
                 return
-            name, tokens = jobs[index]
-            response = client.post("/parse", {"corpus": name, "input": tokens})
+            name, payload = jobs[index]
+            response = client.post("/parse", payload)
             with lock:
                 if response.status != 200:
                     failures.append(f"{name}: HTTP {response.status}")

@@ -383,8 +383,8 @@ def _cmd_edit(grammar: Grammar, args) -> int:
     if args.verify:
         reference = build_lalr_table(session.grammar)
         identical = (
-            table.actions == reference.actions
-            and table.gotos == reference.gotos
+            table.action_codes == reference.action_codes
+            and table.goto_codes == reference.goto_codes
             and [c.describe(session.grammar) for c in table.conflicts]
             == [c.describe(session.grammar) for c in reference.conflicts]
         )
@@ -703,8 +703,8 @@ def main(argv: "Optional[List[str]]" = None) -> int:
             command.add_argument(
                 "--format", choices=["json", "bin"], default="json",
                 help="table artifact format: readable JSON or the "
-                     "versioned binary layout (mmap-loaded, no JSON "
-                     "parse on the hot path)",
+                     "versioned binary layout (loaded as a verified "
+                     "copy, no JSON parse on the hot path)",
             )
         command.set_defaults(fn=fn)
         return command
@@ -840,7 +840,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     serve_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                            help="process-pool workers for request execution "
                                 "(1 = in-process; >1 forks N workers sharing "
-                                "the table store zero-copy; default 1)")
+                                "the on-disk table store; default 1)")
     serve_cmd.add_argument("--job-workers", type=int, default=2, metavar="N",
                            help="concurrent background jobs (default 2)")
     serve_cmd.add_argument("--queue", type=int, default=16, metavar="N",

@@ -20,11 +20,10 @@ Registered oracles (in stack order):
   cell-for-cell identical to one filled from merged-LR(1) lookaheads.
 - ``sentence-roundtrip`` — generated sentences parse to identical
   derivation trees under the LALR and canonical-LR(1) engines.
-- ``representation-parity`` — the plain LALR table, its compressed
-  (default-reduce) form, its displacement-packed form and a binary
-  serialisation round-trip drive the engine to identical derivations
-  *and* identical diagnostics (message, position, expected set) on both
-  accepted sentences and deterministic mutants.
+- ``representation-parity`` — the LALR table's JSON and binary artifact
+  round-trips keep its code arrays exactly and drive the engine to
+  identical derivations *and* identical diagnostics (message, position,
+  expected set) on both accepted sentences and deterministic mutants.
 - ``glr-parity`` — the GLR engine run over the same table: on
   deterministic tables its forest holds exactly the LALR parse (or the
   byte-identical diagnostic); on conflicted tables its recognition
@@ -410,33 +409,36 @@ def check_sentence_roundtrip(ctx: OracleContext) -> Optional[str]:
 
 @oracle("representation-parity")
 def check_representation_parity(ctx: OracleContext) -> Optional[str]:
-    """Every table representation is observationally identical.
+    """Every artifact round-trip is observationally identical.
 
-    The compressed (default-reduce) table, the displacement-packed table
-    and a binary round-trip (``table_from_bytes(table_to_bytes(t))``)
-    must all drive the engine to the same derivation on every generated
-    sentence and to the *same error* — message text, position and
-    expected set — on deterministic mutants of those sentences.  The
-    engine compiles each into the same integer arrays, so this pins the
-    row views and the expected sets each representation yields.  This is
-    the live form of the representation-parity regression suite, run on
-    every fuzz-campaign grammar.
+    A JSON round-trip (``table_from_dict(table_to_dict(t))``) and a binary
+    round-trip (``table_from_bytes(table_to_bytes(t))``) must reproduce
+    the table's code arrays exactly, and drive the engine to the same
+    derivation on every generated sentence and to the *same error* —
+    message text, position and expected set — on deterministic mutants
+    of those sentences.  This is the live form of the artifact
+    round-trip regression suite, run on every fuzz-campaign grammar.
     """
     from ..parser.engine import Parser
     from ..parser.errors import ParseError
     from ..tables.binfmt import table_from_bytes, table_to_bytes
-    from ..tables.compress import compress
-    from ..tables.displace import displace
+    from ..tables.serialize import table_from_dict, table_to_dict
 
     base = ctx.lalr_table
     if not base.is_deterministic:
         return None
     reference = Parser(base)
-    variants = [
-        ("compressed", Parser(compress(base))),
-        ("displaced", Parser(displace(base))),
-        ("binary", Parser(table_from_bytes(table_to_bytes(base), ctx.augmented))),
-    ]
+    variants = []
+    for label, loaded in (
+        ("json", table_from_dict(table_to_dict(base), ctx.augmented)),
+        ("binary", table_from_bytes(table_to_bytes(base), ctx.augmented)),
+    ):
+        if (
+            loaded.action_codes != base.action_codes
+            or loaded.goto_codes != base.goto_codes
+        ):
+            return f"{label} round-trip changes the table's code arrays"
+        variants.append((label, Parser(loaded)))
 
     sentences = ctx.sentences()
     terminals = sorted(ctx.augmented.terminals, key=lambda s: s.name)
@@ -703,16 +705,10 @@ def _session_mismatch(session, reference, reference_table) -> Optional[str]:
     if set(analysis.includes_sccs) != set(reference.includes_sccs):
         return "includes SCCs differ"
     table = session.table
-    if table.actions != reference_table.actions:
-        return "ACTION rows differ"
-    if table.gotos != reference_table.gotos:
-        return "GOTO rows differ"
-    if table.action_rows != reference_table.action_rows:
-        return "dense ACTION rows differ"
-    if [list(row) for row in table.goto_rows] != [
-        list(row) for row in reference_table.goto_rows
-    ]:
-        return "dense GOTO rows differ"
+    if table.action_codes != reference_table.action_codes:
+        return "ACTION codes differ"
+    if table.goto_codes != reference_table.goto_codes:
+        return "GOTO codes differ"
     ours = [c.describe(session.grammar) for c in table.conflicts]
     theirs = [c.describe(session.grammar) for c in reference_table.conflicts]
     if ours != theirs:

@@ -1,13 +1,14 @@
 """The LR shift-reduce parsing engine.
 
 Drives any :class:`~repro.tables.table.ParseTable` — LR(0), SLR(1),
-LALR(1) or CLR(1), in any row representation — over a token stream.  The
-engine is the consumer that makes look-ahead quality *observable*:
-identical code, different tables, and only the reduce decisions differ.
+LALR(1) or CLR(1), built fresh or loaded from an artifact — over a token
+stream.  The engine is the consumer that makes look-ahead quality
+*observable*: identical code, different tables, and only the reduce
+decisions differ.
 
-There is one token loop.  :class:`Parser` compiles its table once
-(memoized per table object) into the flat integer arrays of
-:class:`~repro.tables.specialize.SpecializedTable` and dispatches on
+There is one token loop.  :class:`Parser` runs it over the table's code
+arrays, copied once per table object into the lists of
+:class:`~repro.tables.specialize.SpecializedTable`, and dispatches on
 ``code & 3``; reduce→goto chains are fused, and states whose rows reduce
 identically on every terminal skip the look-ahead lookup.  The
 independent references it is tested against are the RNGLR engine
@@ -109,9 +110,8 @@ class Parser:
     """
 
     def __init__(self, table: ParseTable, allow_conflicts: bool = False):
-        # The compiled form drives the loop; the source rows stay as
-        # ``self.table`` for expected sets and panic-mode recovery.  A
-        # SpecializedTable argument resolves to its source.
+        # The list view drives the loop; a SpecializedTable argument
+        # resolves to its source table.
         self._compiled = specialized_view(table)
         self.table = table = self._compiled.source
         self.grammar: Grammar = table.grammar
@@ -358,14 +358,13 @@ class Parser:
                     instrument.count("parse.actions", shifts + reduces)
 
     def _syntax_error(self, position: int, token: Token, state: int) -> ParseError:
-        # The expected set comes from the dense row, not the Symbol-keyed
-        # `actions` dict: on a CompressedTable the dict holds only the
-        # cells not folded into the row's default reduce, which would
-        # understate what the parser actually accepts in this state.
-        row = self.table.action_rows[state]
+        compiled = self._compiled
+        width = compiled.num_terminals
+        codes = compiled.action_codes
+        base = state * width
         by_sid = self._ids.by_sid
         expected = sorted(
-            (by_sid[tid] for tid in range(len(row)) if row[tid] is not None),
+            (by_sid[tid] for tid in range(width) if codes[base + tid]),
             key=lambda s: s.name,
         )
         # The end marker is an augmentation artifact; the shared formatter

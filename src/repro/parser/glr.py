@@ -4,7 +4,8 @@ Where the deterministic engine (:mod:`repro.parser.engine`) follows the
 single action a :class:`~repro.tables.table.ParseTable` keeps per cell,
 this engine runs off the :class:`~repro.tables.nondet
 .NondeterministicTable` view, which keeps *every* competing action of an
-unresolved conflict.  Nondeterminism is handled the Tomita/RNGLR way:
+unresolved conflict, and reads GOTO from the same table's
+``goto_codes``.  Nondeterminism is handled the Tomita/RNGLR way:
 
 - a **graph-structured stack** (GSS): parse stacks that share a suffix
   share the GSS nodes for it, so the worst case stays polynomial where
@@ -201,8 +202,8 @@ def _tree_list(node: SppfNode, memo: dict, on_path: set, limit: int):
 class GlrParser:
     """A generalized LR parser for one grammar/table pair.
 
-    Accepts any table object (ParseTable, BinaryTable, a loaded JSON
-    table) or a prebuilt :class:`NondeterministicTable` view; unresolved
+    Accepts a :class:`~repro.tables.table.ParseTable` (built or loaded)
+    or a prebuilt :class:`NondeterministicTable` view; unresolved
     conflicts fork the GSS instead of being an error or a silent
     tie-break.
     """
@@ -253,7 +254,8 @@ class GlrParser:
         sid_or_none = ids.sid_or_none
         num_terminals = ids.num_terminals
         rows = self.view.rows
-        goto_rows = self.view.goto_rows
+        goto_codes = self.table.goto_codes
+        n_nts = ids.num_nonterminals
         productions = grammar.productions
         eof_tid = self._eof_tid
 
@@ -312,7 +314,7 @@ class GlrParser:
                     else:
                         _collect_paths(node, arity, (), paths)
                     for base, labels_down in paths:
-                        goto = goto_rows[base.state][lhs_nt]
+                        goto = goto_codes[base.state * n_nts + lhs_nt]
                         if goto < 0:
                             # A losing GSS branch can reduce to a symbol its
                             # base state has no transition for; the branch

@@ -46,19 +46,22 @@ class RecoveringParser:
     ) -> List[ParseError]:
         """Parse *tokens*, recovering at sync points; returns all errors.
 
-        Drives the same dense ``action_rows``/``goto_rows`` fast path as
-        the engine, so error detection states, positions and expected
-        sets are identical to a plain :meth:`Parser.parse` of the same
-        prefix — on compressed tables included.  A *budget* bounds the
-        whole check with the engine's token/step/deadline limits.
+        Dispatches on ``code & 3`` over the same code arrays as the
+        engine, so error detection states, positions and expected sets
+        are identical to a plain :meth:`Parser.parse` of the same prefix.
+        A *budget* bounds the whole check with the engine's
+        token/step/deadline limits.
         """
         parser = self.parser
         ids = parser._ids
         sid_or_none = ids.sid_or_none
-        num_terminals = ids.num_terminals
-        action_rows = parser.table.action_rows
-        goto_rows = parser.table.goto_rows
-        productions = self.grammar.productions
+        compiled = parser._compiled
+        width = compiled.num_terminals
+        n_nts = compiled.num_nonterminals
+        action_codes = compiled.action_codes
+        goto_codes = compiled.goto_codes
+        arities = compiled.arities
+        lhs_nts = compiled.lhs_nts
 
         stream = [parser._normalise(t, i) for i, t in enumerate(tokens)]
         stream.append(Token(self.grammar.eof, None))
@@ -77,11 +80,14 @@ class RecoveringParser:
                 if budget is not None:
                     budget.charge_parse_step()
                 tid = tids[position]
-                action = (
-                    action_rows[state_stack[-1]][tid] if tid is not None else None
+                code = (
+                    action_codes[state_stack[-1] * width + tid]
+                    if tid is not None
+                    else 0
                 )
+                tag = code & 3
 
-                if action is None:
+                if code == 0:
                     error = parser._syntax_error(
                         position, stream[position], state_stack[-1]
                     )
@@ -94,20 +100,18 @@ class RecoveringParser:
                     position = recovered
                     continue
 
-                if action.kind == "shift":
-                    state_stack.append(action.state)
+                if tag == 1:  # shift
+                    state_stack.append(code >> 2)
                     position += 1
                     if budget is not None:
                         budget.charge_tokens(1)
                     continue
-                if action.kind == "reduce":
-                    production = productions[action.production]
-                    arity = len(production.rhs_sids)
+                if tag == 2:  # reduce
+                    prod_index = code >> 2
+                    arity = arities[prod_index]
                     if arity:
                         del state_stack[-arity:]
-                    goto = goto_rows[state_stack[-1]][
-                        production.lhs_sid - num_terminals
-                    ]
+                    goto = goto_codes[state_stack[-1] * n_nts + lhs_nts[prod_index]]
                     if goto < 0:
                         # Recovery left the stack in a dead configuration.
                         return errors
@@ -128,7 +132,9 @@ class RecoveringParser:
 
         Returns the position to resume at, or None when unrecoverable.
         """
-        action_rows = self.parser.table.action_rows
+        compiled = self.parser._compiled
+        width = compiled.num_terminals
+        action_codes = compiled.action_codes
         sync_tids = self._sync_tids
         eof_tid = self.parser._eof_tid
         index = position
@@ -145,7 +151,7 @@ class RecoveringParser:
                 follower_tid = tids[index + 1]
                 if follower_tid is not None:
                     for depth in range(len(state_stack)):
-                        if action_rows[state_stack[depth]][follower_tid] is not None:
+                        if action_codes[state_stack[depth] * width + follower_tid]:
                             del state_stack[depth + 1 :]
                             return index + 1
                 del state_stack[1:]

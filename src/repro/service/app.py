@@ -349,7 +349,7 @@ class GrammarService:
             unavailable) everything runs in-process as before; above 1 a
             :class:`~repro.service.pool.WorkerPool` executes sync
             compile/parse/analyze/fuzz requests and async compile jobs
-            on forked workers sharing the on-disk store zero-copy, with
+            on forked workers sharing the on-disk store, with
             responses bit-identical to the in-process tier.
         job_ttl: Seconds a finished job stays pollable (0 = no TTL).
     """

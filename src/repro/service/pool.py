@@ -4,12 +4,11 @@ A single serving process executes all pipeline work on threads, which the
 GIL serializes onto one core.  :class:`WorkerPool` moves that work into
 ``N`` forked worker processes:
 
-- **Zero-copy table sharing.**  Each worker opens its own
+- **Shared table store.**  Each worker opens its own
   :class:`~repro.tables.TableCache` over the *same* sharded on-disk
-  store the parent uses.  With the ``bin`` backend the RPTB artifacts
-  are ``mmap``-loaded (:mod:`repro.tables.binfmt`), so N workers parsing
-  the same grammar share one physical copy of the table via the page
-  cache instead of N heap copies.
+  store the parent uses, so a table is built once for the whole pool.
+  With the ``bin`` backend a worker loads the RPTB artifact
+  (:mod:`repro.tables.binfmt`) as a verified copy in microseconds.
 - **Deterministic routing.**  Every worker has its own inbox and the
   parent round-robins requests across them, so K requests land
   ``ceil(K/N)``/``floor(K/N)`` per worker regardless of timing — the
@@ -169,8 +168,8 @@ class WorkerPool:
         workers: Worker process count (>= 1).
         cache_dir: The shared on-disk table store ("" disables caching
             in the workers; they still execute, just without artifacts).
-        cache_backend: ``"json"`` or ``"bin"`` (``bin`` gives the mmap
-            zero-copy sharing story).
+        cache_backend: ``"json"`` or ``"bin"`` (``bin`` loads without a
+            JSON parse).
         hot_capacity: Per-worker in-memory hot-table LRU size.
         absorb: ``absorb(worker_id, counters)`` callback invoked on the
             dispatcher thread for every completed request (the service

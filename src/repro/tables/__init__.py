@@ -12,7 +12,6 @@ from .serialize import (
 from .binfmt import (
     BINARY_FORMAT_VERSION,
     BINARY_SUFFIX,
-    BinaryTable,
     load_binary_table,
     save_binary_table,
     table_from_bytes,
@@ -35,7 +34,6 @@ __all__ = [
     "BACKENDS",
     "BINARY_FORMAT_VERSION",
     "BINARY_SUFFIX",
-    "BinaryTable",
     "Classification",
     "CompressedTable",
     "ConflictExample",

@@ -1,23 +1,22 @@
-"""Versioned binary parse-table format — the zero-copy startup path.
+"""Versioned binary parse-table format — the fast startup path.
 
 JSON table entries (:mod:`repro.tables.serialize`) pay a full parse +
-Symbol-dict reconstruction on every load.  This module stores the same
-information — dense rows plus the full conflict log, resolved and
-unresolved alike — as a **packed binary artifact** that a service worker
-can attach to instantly:
+Symbol-dict reconstruction on every load.  This module stores a table's
+code arrays as they are, plus the full conflict log, resolved and
+unresolved alike:
 
 - a fixed header (magic, format version, ID-layout version, dimensions,
   a CRC-32 of the payload) plus the grammar fingerprint and method name;
-- two ``int32`` sections — the dense ACTION matrix (``n_states x
-  num_terminals`` encoded action ints, see
-  :mod:`repro.tables.displace`) and the dense GOTO matrix (``n_states x
-  num_nonterminals`` targets, ``-1`` = absent) — written little-endian.
+- two ``int32`` sections — ``ParseTable.action_codes`` (``n_states x
+  num_terminals`` encoded actions, see :mod:`repro.tables.table`) and
+  ``ParseTable.goto_codes`` (``n_states x num_nonterminals`` targets,
+  ``-1`` = absent) — written little-endian;
+- a trailing ``int32`` section with the conflict records.
 
-Loading ``mmap``\\ s the file and casts the sections to flat int views
-(`memoryview.cast`) without parsing anything; per-state rows are decoded
-lazily, on first touch, into the same dense rows a
-:class:`~repro.tables.table.ParseTable` carries, so the engine drives a
-:class:`BinaryTable` unchanged and diagnostics stay byte-identical.
+Loading reads the file, verifies every header field and the payload CRC,
+then copies the two sections into ``array('i')`` code arrays: a load
+decodes no cell, and the loaded table owns its memory, so a file
+truncated or replaced after the load cannot disturb it.
 
 Every defect — bad magic, foreign format or ID-layout version, grammar
 fingerprint mismatch, truncation, payload corruption (CRC), dimension
@@ -28,26 +27,23 @@ rebuild, never crash.
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import sys
 import tempfile
 import zlib
 from array import array
-from typing import Dict, List, Optional
+from typing import List
 
 from ..grammar.grammar import Grammar
-from ..grammar.symbols import ID_LAYOUT_VERSION, Symbol
+from ..grammar.symbols import ID_LAYOUT_VERSION
 from .conflicts import Conflict
-from .displace import ACTION_ERROR, ActionDecoder, encode_action
 from .serialize import TableCacheError, grammar_fingerprint
-from .table import Action, ParseTable
+from .table import ActionDecoder, ParseTable, encode_action
 
 __all__ = [
     "BINARY_FORMAT_VERSION",
     "BINARY_SUFFIX",
-    "BinaryTable",
     "load_binary_table",
     "save_binary_table",
     "table_from_bytes",
@@ -85,12 +81,6 @@ def _section_to_le_bytes(section: array) -> bytes:
 def table_to_bytes(table: ParseTable) -> bytes:
     """Serialise *table* into the binary artifact format."""
     ids = table.grammar.ids
-    actions = array("i")
-    for row in table.action_rows:
-        actions.extend(encode_action(cell) for cell in row)
-    gotos = array("i")
-    for row in table.goto_rows:
-        gotos.extend(row)
     # Trailing variable-length section: the full conflict log, one
     # record each — [state, terminal_id, kind_tag, resolved_flag,
     # chosen, n, *actions] (kind_tag 0 = shift/reduce, 1 =
@@ -111,8 +101,8 @@ def table_to_bytes(table: ParseTable) -> bytes:
             encode_action(action) for action in conflict.actions
         )
     payload = (
-        _section_to_le_bytes(actions)
-        + _section_to_le_bytes(gotos)
+        _section_to_le_bytes(table.action_codes)
+        + _section_to_le_bytes(table.goto_codes)
         + _section_to_le_bytes(conflict_section)
     )
     method = table.method.encode("utf-8")
@@ -132,203 +122,19 @@ def table_to_bytes(table: ParseTable) -> bytes:
     return header + fingerprint + method + payload
 
 
-class _LazyActionRows:
-    """Sequence of per-state ACTION rows decoded lazily from the flat
-    int section.  First touch of a state materialises (and caches) the
-    same dense ``[Action | None]`` row a ParseTable carries."""
-
-    __slots__ = ("_flat", "_width", "_decoder", "_cache")
-
-    def __init__(self, flat, width: int, n_states: int, decoder: ActionDecoder):
-        self._flat = flat
-        self._width = width
-        self._decoder = decoder
-        self._cache: List[Optional[List[Optional[Action]]]] = [None] * n_states
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, state: int) -> "List[Optional[Action]]":
-        row = self._cache[state]
-        if row is None:
-            decode = self._decoder.decode
-            start = state * self._width
-            row = [decode(cell) for cell in self._flat[start : start + self._width]]
-            self._cache[state] = row
-        return row
-
-
-class _LazyGotoRows:
-    """Sequence of per-state GOTO rows: zero-copy slices of the flat
-    section (``-1`` = absent), cached per state."""
-
-    __slots__ = ("_flat", "_width", "_cache")
-
-    def __init__(self, flat, width: int, n_states: int):
-        self._flat = flat
-        self._width = width
-        self._cache: List[Optional[object]] = [None] * n_states
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, state: int):
-        row = self._cache[state]
-        if row is None:
-            start = state * self._width
-            row = self._flat[start : start + self._width]
-            self._cache[state] = row
-        return row
-
-
-class BinaryTable:
-    """A parse table attached to a binary artifact — rows decode lazily.
-
-    Duck-compatible with :class:`~repro.tables.table.ParseTable`
-    everywhere the engine and the diagnostics paths look: ``grammar``,
-    ``method``, ``action_rows``/``goto_rows``, Symbol-keyed
-    ``actions``/``gotos`` (materialised on first use), the full
-    ``conflicts`` log (resolved and unresolved — a conflicted table off
-    the cache drives the GLR engine exactly like a fresh build), and the
-    summary helpers.
-    """
-
-    def __init__(
-        self,
-        grammar: Grammar,
-        method: str,
-        actions_flat,
-        gotos_flat,
-        n_states: int,
-        backing: "Optional[object]" = None,
-        conflicts: "Optional[list]" = None,
-    ):
-        self.grammar = grammar
-        self.method = method
-        self.conflicts: list = list(conflicts or [])
-        self._n_states = n_states
-        self._actions_flat = actions_flat
-        self._gotos_flat = gotos_flat
-        # Keep the mmap (and its file) alive as long as the table: the
-        # flat sections are views straight into it.
-        self._backing = backing
-        ids = grammar.ids
-        self.num_terminals = ids.num_terminals
-        self.num_nonterminals = ids.num_nonterminals
-        self.action_rows = _LazyActionRows(
-            actions_flat, ids.num_terminals, n_states, ActionDecoder()
-        )
-        self.goto_rows = _LazyGotoRows(gotos_flat, ids.num_nonterminals, n_states)
-        self._actions_dicts: "Optional[List[Dict[Symbol, Action]]]" = None
-        self._gotos_dicts: "Optional[List[Dict[Symbol, int]]]" = None
-
-    # -- ParseTable-compatible surface ---------------------------------
-
-    @property
-    def n_states(self) -> int:
-        return self._n_states
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self) -> list:
-        return [
-            conflict
-            for conflict in self.conflicts
-            if not conflict.resolved_by_precedence
-        ]
-
-    @property
-    def actions(self) -> "List[Dict[Symbol, Action]]":
-        if self._actions_dicts is None:
-            terminals = self.grammar.ids.terminals
-            self._actions_dicts = [
-                {
-                    terminals[tid]: action
-                    for tid, action in enumerate(self.action_rows[state])
-                    if action is not None
-                }
-                for state in range(self._n_states)
-            ]
-        return self._actions_dicts
-
-    @property
-    def gotos(self) -> "List[Dict[Symbol, int]]":
-        if self._gotos_dicts is None:
-            nonterminals = self.grammar.ids.nonterminals
-            self._gotos_dicts = [
-                {
-                    nonterminals[nt_id]: target
-                    for nt_id, target in enumerate(self.goto_rows[state])
-                    if target >= 0
-                }
-                for state in range(self._n_states)
-            ]
-        return self._gotos_dicts
-
-    def action(self, state: int, terminal: Symbol) -> "Optional[Action]":
-        return self.action_rows[state][self.grammar.ids.terminal_id(terminal)]
-
-    def goto(self, state: int, nonterminal: Symbol) -> "Optional[int]":
-        target = self.goto_rows[state][self.grammar.ids.nonterminal_id(nonterminal)]
-        return target if target >= 0 else None
-
-    def action_by_id(self, state: int, terminal_id: int) -> "Optional[Action]":
-        return self.action_rows[state][terminal_id]
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        return self.goto_rows[state][nt_id]
-
-    def conflict_summary(self) -> Dict[str, int]:
-        summary = {"shift_reduce": 0, "reduce_reduce": 0, "resolved": 0}
-        for conflict in self.conflicts:
-            if conflict.resolved_by_precedence:
-                summary["resolved"] += 1
-            elif conflict.kind == "shift/reduce":
-                summary["shift_reduce"] += 1
-            else:
-                summary["reduce_reduce"] += 1
-        return summary
-
-    def size_cells(self) -> int:
-        return sum(len(row) for row in self.actions) + sum(
-            len(row) for row in self.gotos
-        )
-
-    def close(self) -> None:
-        """Detach from the backing mmap (the table becomes unusable for
-        states not yet decoded); idempotent."""
-        backing = self._backing
-        self._backing = None
-        if backing is not None:
-            backing.close()
-
-
-def _flat_int_view(buffer: "memoryview"):
-    """*buffer* (little-endian int32 bytes) as an indexable int sequence.
-
-    On little-endian hosts this is a zero-copy ``memoryview.cast('i')``;
-    big-endian hosts fall back to one byte-swapped ``array('i')`` copy.
-    """
-    if sys.byteorder == "little":
-        return buffer.cast("i")
-    section = array("i")  # pragma: no cover - exercised on BE hosts
-    section.frombytes(buffer.tobytes())
-    section.byteswap()
+def _section_from_le_bytes(buffer: "memoryview") -> array:
+    """*buffer* (little-endian int32 bytes) copied into an ``array('i')``."""
+    section = array("i")
+    section.frombytes(buffer)
+    if sys.byteorder == "big":  # pragma: no cover - exercised on BE hosts
+        section.byteswap()
     return section
 
 
-def table_from_bytes(
-    data: "bytes | memoryview",
-    grammar: Grammar,
-    backing: "Optional[object]" = None,
-) -> BinaryTable:
-    """Attach a :class:`BinaryTable` to *data*, verifying every header
-    field against *grammar*.  Raises :class:`TableCacheError` on any
-    structural defect; *backing* (an open mmap) is kept alive by the
-    returned table."""
+def table_from_bytes(data: "bytes | memoryview", grammar: Grammar) -> ParseTable:
+    """The table stored in *data*, verifying every header field against
+    *grammar*.  Raises :class:`TableCacheError` on any structural
+    defect."""
     view = memoryview(data)
     if len(view) < _HEADER.size + _FINGERPRINT_LEN:
         raise TableCacheError(
@@ -392,14 +198,14 @@ def table_from_bytes(
     payload = view[offset:]
     if zlib.crc32(payload) != payload_crc:
         raise TableCacheError("corrupt binary table: payload CRC mismatch")
-    actions_flat = _flat_int_view(payload[:action_bytes])
-    gotos_flat = _flat_int_view(payload[action_bytes : action_bytes + goto_bytes])
+    action_codes = _section_from_le_bytes(payload[:action_bytes])
+    goto_codes = _section_from_le_bytes(
+        payload[action_bytes : action_bytes + goto_bytes]
+    )
     conflicts = _decode_conflict_section(
-        _flat_int_view(payload[action_bytes + goto_bytes :]), grammar
+        _section_from_le_bytes(payload[action_bytes + goto_bytes :]), grammar
     )
-    return BinaryTable(
-        grammar, method, actions_flat, gotos_flat, n_states, backing, conflicts
-    )
+    return ParseTable.from_codes(grammar, method, action_codes, goto_codes, conflicts)
 
 
 def _decode_conflict_section(flat, grammar: Grammar) -> "List[Conflict]":
@@ -458,41 +264,13 @@ def save_binary_table(table: ParseTable, path: str) -> int:
     return len(blob)
 
 
-class _MmapBacking:
-    """Owns the (file, mmap) pair a loaded table reads through."""
-
-    __slots__ = ("_file", "map")
-
-    def __init__(self, path: str):
-        self._file = open(path, "rb")
-        try:
-            self.map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            # Empty or unmappable file: fall back to an in-memory read so
-            # the format checks produce the usual TableCacheError.
-            self.map = self._file.read()
-
-    def close(self) -> None:
-        if isinstance(self.map, mmap.mmap):
-            try:
-                self.map.close()
-            except BufferError:  # pragma: no cover - exported views alive
-                pass
-        self._file.close()
-
-
-def load_binary_table(path: str, grammar: Grammar) -> BinaryTable:
+def load_binary_table(path: str, grammar: Grammar) -> ParseTable:
     """Load a table written by :func:`save_binary_table` for *grammar*.
 
-    The file is mapped, not parsed: beyond one CRC pass over the payload,
-    load cost is independent of table size.  Raises
-    :class:`TableCacheError` for a damaged or foreign file;
+    Raises :class:`TableCacheError` for a damaged or foreign file;
     ``FileNotFoundError`` propagates unchanged so callers can distinguish
     "missing" from "damaged".
     """
-    backing = _MmapBacking(path)
-    try:
-        return table_from_bytes(backing.map, grammar, backing=backing)
-    except TableCacheError:
-        backing.close()
-        raise
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return table_from_bytes(data, grammar)

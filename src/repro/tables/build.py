@@ -29,7 +29,7 @@ from ..core.relations import ReductionSite
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
 from .conflicts import Conflict, resolve_shift_reduce
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift
+from .table import ACCEPT, Action, ParseTable, Reduce, Shift, encode_rows
 
 
 def build_lr0_table(
@@ -238,8 +238,9 @@ def refill_lalr_table(
     (A changed production's ``%prec`` cannot affect a clean state either:
     any state reducing by that production contains one of its items and
     is dirty by definition.)  Everything is assembled in state order, so
-    rows, dense rows and the conflict list come out ordered exactly as a
-    from-scratch fill — reused rows shared object-for-object.
+    the code arrays and the conflict list come out exactly as a
+    from-scratch fill's; clean rows are copied as slices of the old code
+    arrays and nothing is decoded.
     """
     grammar = automaton.grammar
     states = automaton.states
@@ -255,20 +256,16 @@ def refill_lalr_table(
     ids = grammar.ids
     symbol_of = ids.by_sid
     num_terminals = ids.num_terminals
+    n_nts = ids.num_nonterminals
     eof = grammar.eof
     eof_sid = ids.terminal_id(eof)
-    terminal_id = ids.terminal_id
-    nonterminal_id = ids.nonterminal_id
-    empty_goto_row = array("i", [-1]) * ids.num_nonterminals
 
     def lookahead_mask(site: ReductionSite) -> int:
         return la_masks.get(site, 0)
 
-    actions: List[Dict[Symbol, Action]] = []
-    gotos: List[Dict[Symbol, int]] = []
+    action_codes = array("i")
+    goto_codes = array("i")
     conflicts: List[Conflict] = []
-    action_rows: "List[List[Action | None]]" = []
-    goto_rows: "List[array]" = []
     reused = 0
     # ``old_table.conflicts`` is in state order (so is our output), so a
     # single pointer walks it: clean runs copy their slice of old
@@ -276,10 +273,8 @@ def refill_lalr_table(
     old_conflicts = old_table.conflicts
     n_old_conflicts = len(old_conflicts)
     conflict_ptr = 0
-    old_actions = old_table.actions
-    old_gotos = old_table.gotos
-    old_action_rows = old_table.action_rows
-    old_goto_rows = old_table.goto_rows
+    old_action_codes = old_table.action_codes
+    old_goto_codes = old_table.goto_codes
     with instrument.span("table.refill"):
         state_id = 0
         while state_id < n_states:
@@ -287,11 +282,11 @@ def refill_lalr_table(
             if boundary < 0:
                 boundary = n_states
             if boundary > state_id:
-                # Clean run [state_id, boundary): rows shared verbatim.
-                actions.extend(old_actions[state_id:boundary])
-                gotos.extend(old_gotos[state_id:boundary])
-                action_rows.extend(old_action_rows[state_id:boundary])
-                goto_rows.extend(old_goto_rows[state_id:boundary])
+                # Clean run [state_id, boundary): code slices copied verbatim.
+                action_codes.extend(
+                    old_action_codes[state_id * num_terminals:boundary * num_terminals]
+                )
+                goto_codes.extend(old_goto_codes[state_id * n_nts:boundary * n_nts])
                 while (
                     conflict_ptr < n_old_conflicts
                     and old_conflicts[conflict_ptr].state < boundary
@@ -317,23 +312,14 @@ def refill_lalr_table(
                 eof_sid,
                 eof,
             )
-            actions.append(action_row)
-            gotos.append(goto_row)
-            dense: "List[Action | None]" = [None] * num_terminals
-            for terminal, action in action_row.items():
-                dense[terminal_id(terminal)] = action
-            action_rows.append(dense)
-            goto_dense = array(empty_goto_row.typecode, empty_goto_row)
-            for nonterminal, target in goto_row.items():
-                goto_dense[nonterminal_id(nonterminal)] = target
-            goto_rows.append(goto_dense)
+            row_actions, row_gotos = encode_rows(grammar, [action_row], [goto_row])
+            action_codes.extend(row_actions)
+            goto_codes.extend(row_gotos)
             state_id += 1
     if instrument.enabled():
         instrument.count("phase.table.rows_reused", reused)
         instrument.count("phase.table.rows_refilled", n_states - reused)
-    return ParseTable.from_rows(
-        grammar, "lalr1", actions, gotos, conflicts, action_rows, goto_rows
-    )
+    return ParseTable.from_codes(grammar, "lalr1", action_codes, goto_codes, conflicts)
 
 
 def build_clr_table(

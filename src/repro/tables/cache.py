@@ -8,7 +8,7 @@ startup is a single file read.  :class:`TableCache` is that layer:
   grammar changes the fingerprint, so stale entries are simply never
   looked up (and a fingerprint mismatch inside the file is treated as a
   miss too).  The suffix selects the **backend**: ``.json`` (readable)
-  or ``.rtb`` (versioned binary, mmap-loaded without a JSON parse on
+  or ``.rtb`` (versioned binary, loaded without a JSON parse on
   the hot path).
 - **Crash safety**: writes go through :func:`~repro.tables.serialize
   .save_table` (temp file + ``os.replace``), so the cache never holds a
@@ -45,7 +45,7 @@ __all__ = ["TableCache", "default_cache_dir"]
 
 #: Cache storage backends mapped to their file suffix.  ``json`` is the
 #: readable debugging-friendly format; ``bin`` is the versioned binary
-#: artifact of :mod:`repro.tables.binfmt`, loaded zero-copy via mmap.
+#: artifact of :mod:`repro.tables.binfmt`, loaded as a verified copy.
 BACKENDS = {"json": ".json", "bin": BINARY_SUFFIX}
 
 #: Environment variable overriding the default cache directory.

@@ -11,11 +11,12 @@ scheme erroneous input may trigger a few extra reductions before the
 error is detected — but never an extra *shift*, so no input is ever
 wrongly accepted, and the error position can move only past reductions,
 never past consumed tokens.  This is the same contract Bison documents.
-Here that deferred-detection behaviour lives only in the Symbol-keyed
-:meth:`CompressedTable.action` lookup; the dense rows the engine drives
-resolve every default back into the cells it was folded from, so engine
-error *messages and positions* are identical to the uncompressed table
-(the expected-set regression tests pin this down).
+
+Here compression is a size statistic (the paper-table reproductions and
+``repro table --compress default`` report it): :class:`CompressedTable`
+keeps the sparse rows, the per-state defaults and the classic
+:meth:`~CompressedTable.action` lookup.  The parse engines always run on
+the uncompressed :class:`~repro.tables.table.ParseTable`.
 """
 
 from __future__ import annotations
@@ -24,61 +25,32 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 from ..grammar.symbols import Symbol
-from .table import Action, ParseTable, Reduce
+from .table import ACTION_ACCEPT, Action, ParseTable, Reduce
 
 
 class CompressedTable:
-    """A ParseTable plus per-state default reduce actions.
+    """A ParseTable's ACTION rows with per-state default reduce actions.
 
-    Exposes the same ``action``/``goto`` interface as ParseTable, so the
-    parse engine can drive either interchangeably.
-
-    Two lookup surfaces with deliberately different default semantics:
-
-    - :meth:`action` (the Symbol-keyed slow path) consults the row
-      default on any miss — the classic yacc storage scheme, where
-      erroneous lookaheads may trigger a few extra reductions before
-      the error surfaces.
-    - ``action_rows`` (the engine's dense fast path) resolves each
-      default into exactly the cells it was folded *from* at
-      construction time; genuine error cells stay empty.  The engine
-      therefore detects errors in the identical state, at the identical
-      position, with the identical expected set as the uncompressed
-      table — compression is a storage measure (:meth:`size_cells`),
-      never a diagnostics change.
+    :meth:`action` consults the row default on any miss — the classic
+    yacc storage scheme, where erroneous lookaheads may trigger a few
+    extra reductions before the error surfaces.
     """
 
     def __init__(self, table: ParseTable):
-        self.grammar = table.grammar
-        self.method = table.method + "+default-reductions"
-        self.gotos = table.gotos
-        self.conflicts = table.conflicts
-        eof = self.grammar.eof
-        if not any(
-            action is not None and action.kind == "accept"
-            for row in table.actions
-            for terminal, action in row.items()
-            if terminal is eof
-        ):
+        ids = table.grammar.ids
+        width = ids.num_terminals
+        eof_column = ids.terminal_id(table.grammar.eof)
+        if ACTION_ACCEPT not in table.action_codes[eof_column::width]:
             # Without this guard a default reduce in the $end column
             # would silently stand in for the missing accept and the
             # parser would reduce forever at end of input.
             raise ValueError(
                 "cannot compress a table with no accept action on "
-                f"{eof.name}: a column default would mask the missing accept"
+                f"{table.grammar.eof.name}: a column default would mask "
+                "the missing accept"
             )
         self.defaults: List[Optional[Reduce]] = []
         self.actions: List[Dict[Symbol, Action]] = []
-        self._compress(table)
-        # Dense ID-indexed rows for the engine's fast path: identical to
-        # the source table's rows, i.e. every folded default already
-        # resolved into its original cells and nothing else.
-        self.action_rows: List[List[Optional[Action]]] = [
-            list(row) for row in table.action_rows
-        ]
-        self.goto_rows = table.goto_rows
-
-    def _compress(self, table: ParseTable) -> None:
         for row in table.actions:
             reduces = Counter(
                 action for action in row.values() if action.kind == "reduce"
@@ -88,25 +60,12 @@ class CompressedTable:
                 self.actions.append(dict(row))
                 continue
             default, _count = reduces.most_common(1)[0]
-            kept = {
-                terminal: action
-                for terminal, action in row.items()
-                if action != default
-            }
             self.defaults.append(default)
-            self.actions.append(kept)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.actions)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self):
-        return [c for c in self.conflicts if not c.resolved_by_precedence]
+            self.actions.append(
+                {t: action for t, action in row.items() if action != default}
+            )
+        goto_codes = table.goto_codes
+        self._goto_cells = len(goto_codes) - goto_codes.count(-1)
 
     def action(self, state: int, terminal: Symbol) -> Optional[Action]:
         explicit = self.actions[state].get(terminal)
@@ -114,14 +73,11 @@ class CompressedTable:
             return explicit
         return self.defaults[state]
 
-    def goto(self, state: int, nonterminal: Symbol) -> Optional[int]:
-        return self.gotos[state].get(nonterminal)
-
     def size_cells(self) -> int:
         """Populated cells after compression (defaults count as one each)."""
         return (
             sum(len(row) for row in self.actions)
-            + sum(len(row) for row in self.gotos)
+            + self._goto_cells
             + sum(1 for default in self.defaults if default is not None)
         )
 

@@ -14,21 +14,11 @@ Storage drops from ``n_states * n_columns`` dense cells to roughly the
 number of *populated* cells (plus comb gaps), while lookup stays O(1).
 GOTO rows are packed the same way into their own comb.
 
-Everything observable is unchanged: :class:`DisplacedTable` exposes the
-same ``action_rows``/``goto_rows`` dense-row interface the parse engine
-drives (rows are lazy views over the packed arrays), so parses, error
-positions, messages and expected sets are byte-identical to the plain
-:class:`~repro.tables.table.ParseTable` — the representation-parity
-tests and the fuzz oracle pin this down.
-
-The integer **action encoding** shared with the binary table format
-(:mod:`repro.tables.binfmt`) and the array-backed generated parsers
-(:mod:`repro.tables.codegen`)::
-
-    0                    error / absent cell
-    (state << 2) | 1     shift to ``state``
-    (production << 2) | 2reduce by ``production``
-    3                    accept
+:class:`DisplacedTable` packs a table's canonical code arrays
+(``ParseTable.action_codes`` / ``goto_codes``, whose integer action
+encoding is documented in :mod:`repro.tables.table`) and reports the
+packing figures; the ``"displace"`` style of :mod:`repro.tables.codegen`
+emits the same combs as a standalone parser.
 
 Packing is deterministic: rows are placed densest-first (ties by row
 index) with first-fit displacement search, so the packed arrays — and
@@ -38,76 +28,11 @@ any artifact serialised from them — are a pure function of the table.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..grammar.symbols import Symbol
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift
+from .table import ACTION_ERROR, ParseTable
 
-__all__ = [
-    "ACTION_ERROR",
-    "ACTION_SHIFT",
-    "ACTION_REDUCE",
-    "ACTION_ACCEPT",
-    "ActionDecoder",
-    "DisplacedTable",
-    "displace",
-    "encode_action",
-    "pack_rows",
-]
-
-#: Tag bits of the shared integer action encoding.
-ACTION_ERROR = 0
-ACTION_SHIFT = 1
-ACTION_REDUCE = 2
-ACTION_ACCEPT = 3
-
-
-def encode_action(action: "Optional[Action]") -> int:
-    """The integer encoding of *action* (0 for an empty/error cell)."""
-    if action is None:
-        return ACTION_ERROR
-    kind = action.kind
-    if kind == "shift":
-        return (action.state << 2) | ACTION_SHIFT
-    if kind == "reduce":
-        return (action.production << 2) | ACTION_REDUCE
-    if kind == "accept":
-        return ACTION_ACCEPT
-    raise ValueError(f"cannot encode action {action!r}")
-
-
-class ActionDecoder:
-    """Decode encoded action ints back to shared :class:`Action` objects.
-
-    Shift/Reduce instances are interned per target/production so decoding
-    the same cell twice yields the identical object — row views stay as
-    cheap as the eager dense rows after first touch.
-    """
-
-    __slots__ = ("_shifts", "_reduces")
-
-    def __init__(self) -> None:
-        self._shifts: Dict[int, Shift] = {}
-        self._reduces: Dict[int, Reduce] = {}
-
-    def decode(self, encoded: int) -> "Optional[Action]":
-        if encoded == ACTION_ERROR:
-            return None
-        tag = encoded & 3
-        arg = encoded >> 2
-        if tag == ACTION_SHIFT:
-            action = self._shifts.get(arg)
-            if action is None:
-                action = self._shifts[arg] = Shift(arg)
-            return action
-        if tag == ACTION_REDUCE:
-            action = self._reduces.get(arg)
-            if action is None:
-                action = self._reduces[arg] = Reduce(arg)
-            return action
-        if encoded == ACTION_ACCEPT:
-            return ACCEPT
-        raise ValueError(f"invalid encoded action {encoded!r}")
+__all__ = ["DisplacedTable", "displace", "displacement_ratio", "pack_rows"]
 
 
 def pack_rows(
@@ -156,153 +81,35 @@ def pack_rows(
     return displacements, array("i", check), array("i", values)
 
 
-class _PackedActionRow:
-    """One state's ACTION row, viewed through the packed comb arrays.
-
-    Supports exactly what compiling the table for the engine,
-    ``_syntax_error`` and panic-mode recovery use: ``row[tid]`` (an
-    :class:`Action` or None) and ``len(row)``.
-    """
-
-    __slots__ = ("_table", "_state", "_displacement")
-
-    def __init__(self, table: "DisplacedTable", state: int):
-        self._table = table
-        self._state = state
-        self._displacement = table.action_displacements[state]
-
-    def __len__(self) -> int:
-        return self._table.num_terminals
-
-    def __getitem__(self, terminal_id: int) -> "Optional[Action]":
-        table = self._table
-        if not 0 <= terminal_id < table.num_terminals:
-            raise IndexError(terminal_id)
-        slot = self._displacement + terminal_id
-        check = table.action_check
-        if 0 <= slot < len(check) and check[slot] == self._state:
-            return table.decoder.decode(table.action_values[slot])
-        return None
-
-
-class _PackedGotoRow:
-    """One state's GOTO row over the packed comb (``-1`` means absent)."""
-
-    __slots__ = ("_table", "_state", "_displacement")
-
-    def __init__(self, table: "DisplacedTable", state: int):
-        self._table = table
-        self._state = state
-        self._displacement = table.goto_displacements[state]
-
-    def __len__(self) -> int:
-        return self._table.num_nonterminals
-
-    def __getitem__(self, nt_id: int) -> int:
-        table = self._table
-        if not 0 <= nt_id < table.num_nonterminals:
-            raise IndexError(nt_id)
-        slot = self._displacement + nt_id
-        check = table.goto_check
-        if 0 <= slot < len(check) and check[slot] == self._state:
-            return table.goto_values[slot]
-        return -1
-
-
 class DisplacedTable:
-    """A ParseTable repacked into shared displacement (comb) arrays.
-
-    Exposes the full table interface the engine and the diagnostics
-    paths drive — ``action_rows``/``goto_rows`` (lazy views over the
-    packed arrays), the Symbol-keyed ``action``/``goto`` lookups, and the
-    conflict metadata of the source table — so it is a drop-in row
-    *representation*, never a semantics change.
-    """
+    """A ParseTable's code arrays repacked into displacement (comb) arrays."""
 
     def __init__(self, table: ParseTable):
-        self.grammar = table.grammar
-        self.method = table.method + "+displacement"
-        self.actions = table.actions
-        self.gotos = table.gotos
-        self.conflicts = table.conflicts
-        ids = self.grammar.ids
-        self.num_terminals = ids.num_terminals
-        self.num_nonterminals = ids.num_nonterminals
-        self.decoder = ActionDecoder()
-
-        encoded_actions = [
-            [encode_action(cell) for cell in row] for row in table.action_rows
-        ]
+        ids = table.grammar.ids
+        width = ids.num_terminals
+        n_nts = ids.num_nonterminals
+        n_states = table.n_states
+        action_codes = table.action_codes
+        goto_codes = table.goto_codes
         (
             self.action_displacements,
             self.action_check,
             self.action_values,
-        ) = pack_rows(encoded_actions, empty=ACTION_ERROR)
+        ) = pack_rows(
+            [action_codes[s * width:(s + 1) * width] for s in range(n_states)],
+            empty=ACTION_ERROR,
+        )
         (
             self.goto_displacements,
             self.goto_check,
             self.goto_values,
-        ) = pack_rows([list(row) for row in table.goto_rows], empty=-1)
-
-        self.action_rows: List[_PackedActionRow] = [
-            _PackedActionRow(self, state) for state in range(len(table.actions))
-        ]
-        self.goto_rows: List[_PackedGotoRow] = [
-            _PackedGotoRow(self, state) for state in range(len(table.gotos))
-        ]
-        #: Dense cells of the source table, for the compression report.
-        self._dense_cells = len(table.actions) * self.num_terminals + len(
-            table.gotos
-        ) * self.num_nonterminals
-        self._populated_cells = table.size_cells()
-
-    # -- ParseTable-compatible surface ---------------------------------
-
-    @property
-    def n_states(self) -> int:
-        return len(self.action_rows)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self):
-        return [c for c in self.conflicts if not c.resolved_by_precedence]
-
-    def action(self, state: int, terminal: Symbol) -> "Optional[Action]":
-        return self.actions[state].get(terminal)
-
-    def goto(self, state: int, nonterminal: Symbol) -> "Optional[int]":
-        return self.gotos[state].get(nonterminal)
-
-    def action_by_id(self, state: int, terminal_id: int) -> "Optional[Action]":
-        return self.action_rows[state][terminal_id]
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        return self.goto_rows[state][nt_id]
-
-    def conflict_summary(self) -> Dict[str, int]:
-        summary = {"shift_reduce": 0, "reduce_reduce": 0, "resolved": 0}
-        for conflict in self.conflicts:
-            if conflict.resolved_by_precedence:
-                summary["resolved"] += 1
-            elif conflict.kind == "shift/reduce":
-                summary["shift_reduce"] += 1
-            else:
-                summary["reduce_reduce"] += 1
-        return summary
-
-    # -- compression accounting ----------------------------------------
-
-    def size_cells(self) -> int:
-        """Slots the packed representation stores (combs + displacements)."""
-        return (
-            len(self.action_values)
-            + len(self.goto_values)
-            + len(self.action_displacements)
-            + len(self.goto_displacements)
+        ) = pack_rows(
+            [goto_codes[s * n_nts:(s + 1) * n_nts] for s in range(n_states)],
+            empty=-1,
         )
+        #: Dense cells of the source table, for the compression report.
+        self._dense_cells = len(action_codes) + len(goto_codes)
+        self._populated_cells = table.size_cells()
 
     def packing_stats(self) -> Dict[str, int]:
         """Machine-independent packing figures (bench drift asserts on
@@ -318,7 +125,10 @@ class DisplacedTable:
             "goto_comb_slots": len(self.goto_values),
             "comb_slots": comb_slots,
             "comb_gaps": gaps,
-            "stored_cells": self.size_cells(),
+            # Slots the packed form stores: combs plus displacements.
+            "stored_cells": comb_slots
+            + len(self.action_displacements)
+            + len(self.goto_displacements),
         }
 
 
@@ -329,8 +139,6 @@ def displace(table: ParseTable) -> DisplacedTable:
 
 def displacement_ratio(table: ParseTable) -> float:
     """Dense cells / displacement-stored cells (>1 means savings)."""
-    stored = DisplacedTable(table).size_cells()
-    dense = len(table.actions) * table.grammar.ids.num_terminals + len(
-        table.gotos
-    ) * table.grammar.ids.num_nonterminals
-    return dense / stored if stored else 1.0
+    stats = DisplacedTable(table).packing_stats()
+    stored = stats["stored_cells"]
+    return stats["dense_cells"] / stored if stored else 1.0

@@ -3,11 +3,11 @@
 A :class:`~repro.tables.table.ParseTable` keeps exactly one action per
 ACTION cell (the yacc-default winner) and records the losers in its
 ``conflicts`` log.  :class:`NondeterministicTable` merges the two back
-together: every cell becomes a *tuple of actions* — a 1-tuple for the
-clean cells, the full competing set for cells with unresolved conflicts
-— plus the unchanged dense GOTO rows.  The RNGLR engine
+together: every cell of the table's ``action_codes`` becomes a *tuple of
+actions* — a 1-tuple for the clean cells, the full competing set for
+cells with unresolved conflicts.  The RNGLR engine
 (:mod:`repro.parser.glr`) forks its graph-structured stack on exactly
-these tuples.
+these tuples and reads GOTO straight from the table's ``goto_codes``.
 
 Two deliberate choices:
 
@@ -22,17 +22,15 @@ Two deliberate choices:
   order, so a table reloaded from an artifact drives the GLR engine
   identically to a freshly built one.
 
-The view works over any table object carrying ``grammar``,
-``action_rows``/``goto_rows`` and ``conflicts`` — a ParseTable, a
-:class:`~repro.tables.binfmt.BinaryTable`, or a table loaded from the
-JSON format.
+The view works the same over a freshly built table and one loaded from
+either artifact format.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .table import Action
+from .table import Action, ActionDecoder, ParseTable
 
 __all__ = ["NondeterministicTable", "nondet_view"]
 
@@ -55,11 +53,10 @@ class NondeterministicTable:
         rows: ``rows[state][terminal_id]`` is a tuple of actions (empty
             = syntax error); at most one cell per unresolved conflict
             holds more than one.
-        goto_rows: The underlying table's dense GOTO rows, unchanged.
         conflict_cells: How many cells hold more than one action.
     """
 
-    def __init__(self, table):
+    def __init__(self, table: ParseTable):
         self.table = table
         self.grammar = table.grammar
         self.method = table.method
@@ -76,22 +73,22 @@ class NondeterministicTable:
                 if action not in bucket:
                     bucket.append(action)
 
-        rows: "List[List[tuple]]" = []
-        for state in range(table.n_states):
-            source = table.action_rows[state]
-            rows.append([
-                () if action is None else (action,) for action in source
-            ])
+        width = ids.num_terminals
+        codes = table.action_codes
+        decode = ActionDecoder().decode
+        rows: "List[List[tuple]]" = [
+            [(decode(code),) if code else () for code in codes[base:base + width]]
+            for base in range(0, len(codes), width)
+        ]
         for (state, tid), bucket in merged.items():
             # The cell's winner is one of the competing actions by
             # construction, but fold it in defensively (a %nonassoc
             # erasure followed by a later conflict could drift).
-            winner = table.action_rows[state][tid]
+            winner = decode(codes[state * width + tid])
             if winner is not None and winner not in bucket:
                 bucket.append(winner)
             rows[state][tid] = tuple(sorted(bucket, key=_cell_order))
         self.rows = rows
-        self.goto_rows = table.goto_rows
         self.conflict_cells = len(merged)
 
     @property
@@ -117,9 +114,5 @@ def nondet_view(table) -> NondeterministicTable:
     """
     view = getattr(table, "_nondet_view", None)
     if view is None or view.table is not table:
-        view = NondeterministicTable(table)
-        try:
-            table._nondet_view = view
-        except AttributeError:  # pragma: no cover - exotic table objects
-            pass
+        view = table._nondet_view = NondeterministicTable(table)
     return view

@@ -1,17 +1,13 @@
-"""Compile a parse table into the integer arrays the engine loop reads.
+"""The engine's view of a parse table: its code arrays as Python lists.
 
-:class:`~repro.parser.engine.Parser` drives every table — dense,
-compressed, displaced, binary — through this one compiled form, so
-the engine has exactly one token loop and every representation differs
-only in size and load time:
+:class:`~repro.parser.engine.Parser` runs its one token loop over this
+form:
 
-- ``action_codes`` — the dense ACTION matrix flattened row-major into
-  one Python list of encoded ints (the shared encoding from
-  :mod:`repro.tables.displace`: ``0`` error, ``(s << 2) | 1`` shift,
-  ``(p << 2) | 2`` reduce, ``3`` accept), so a lookup is
-  ``codes[state * num_terminals + tid]`` and dispatch is ``code & 3``;
-- ``goto_codes`` — the GOTO matrix flattened the same way (``-1``
-  absent);
+- ``action_codes`` / ``goto_codes`` — the table's own flat code arrays
+  (:mod:`repro.tables.table` documents the encoding) copied into Python
+  lists: the hot loop reads them constantly, and list indexing returns
+  the stored int without the per-read box ``array('i')`` pays.  A lookup
+  is ``codes[state * num_terminals + tid]`` and dispatch is ``code & 3``;
 - ``arities`` / ``lhs_nts`` — per-production RHS length and LHS
   nonterminal index, so a reduction never touches the Production object
   until the semantic callback needs it;
@@ -21,27 +17,25 @@ only in size and load time:
   the *same* reduce action.  Classic generators also default-reduce
   states whose rows still contain error cells and accept the resulting
   delayed error detection; this repo pins error positions, messages and
-  expected sets byte-identical across representations and engines, so
-  only the fully-uniform rows — where consulting the look-ahead provably
-  cannot change the outcome — qualify.  ``default_codes[state]`` is the
-  encoded reduce, or ``-1``.
+  expected sets byte-identical across engines, so only the fully-uniform
+  rows — where consulting the look-ahead provably cannot change the
+  outcome — qualify.  ``default_codes[state]`` is the encoded reduce, or
+  ``-1``.
 
-The compiled form keeps its ``source`` table: diagnostics (expected
-sets) and panic-mode recovery read the source's dense rows.
+The view keeps its ``source`` table for everything else.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .displace import (
+from .table import (
     ACTION_ACCEPT,
     ACTION_ERROR,
     ACTION_REDUCE,
     ACTION_SHIFT,
-    encode_action,
+    ParseTable,
 )
-from .table import ParseTable
 
 __all__ = ["SpecializedTable", "specialize", "specialized_view"]
 
@@ -52,31 +46,20 @@ class SpecializedTable:
     def __init__(self, table: ParseTable):
         self.source = table
         ids = table.grammar.ids
-        self.num_terminals = ids.num_terminals
+        width = self.num_terminals = ids.num_terminals
         self.num_nonterminals = ids.num_nonterminals
+        self.action_codes: "List[int]" = table.action_codes.tolist()
+        self.goto_codes: "List[int]" = table.goto_codes.tolist()
 
-        width = self.num_terminals
-        # Plain Python lists, not array('i'): the hot loop reads these
-        # constantly and list indexing returns the stored int without a
-        # per-read box.
-        action_codes: "List[int]" = []
         default_codes: "List[int]" = []
-        for row in table.action_rows:
-            coded = [encode_action(cell) for cell in row]
-            action_codes.extend(coded)
-            first = coded[0] if coded else ACTION_ERROR
-            uniform = (
-                (first & 3) == ACTION_REDUCE
-                and all(code == first for code in coded)
-            )
+        codes = self.action_codes
+        for base in range(0, len(codes), width):
+            first = codes[base]
+            uniform = (first & 3) == ACTION_REDUCE and codes[
+                base:base + width
+            ].count(first) == width
             default_codes.append(first if uniform else -1)
-        self.action_codes = action_codes
         self.default_codes = default_codes
-
-        goto_codes: "List[int]" = []
-        for goto_row in table.goto_rows:
-            goto_codes.extend(goto_row)
-        self.goto_codes = goto_codes
 
         productions = table.grammar.productions
         self.arities = [len(p.rhs_sids) for p in productions]
@@ -105,7 +88,7 @@ class SpecializedTable:
 
 
 def specialize(table: ParseTable) -> SpecializedTable:
-    """Compile *table* (any dense-row representation) for the engine."""
+    """The engine's list view of *table*'s code arrays."""
     return SpecializedTable(table)
 
 
@@ -124,9 +107,5 @@ def specialized_view(table) -> SpecializedTable:
         return table
     cached = getattr(table, "_specialized_view", None)
     if cached is None or cached.source is not table:
-        cached = SpecializedTable(table)
-        try:
-            table._specialized_view = cached
-        except AttributeError:  # slotted/frozen table: recompile per call
-            pass
+        cached = table._specialized_view = SpecializedTable(table)
     return cached

@@ -1,17 +1,28 @@
 """Parse-table representation shared by all four constructions.
 
-A :class:`ParseTable` is the classic ACTION/GOTO pair:
+A :class:`ParseTable` is the classic ACTION/GOTO pair, stored as two flat
+``array('i')`` code arrays in the grammar's
+:class:`~repro.grammar.symbols.SymbolIds` layout:
 
-- ``actions[state][terminal]`` is a :class:`Shift`, :class:`Reduce`,
-  :class:`Accept` (absent = syntax error);
-- ``gotos[state][nonterminal]`` is the successor state.
+- ``action_codes[state * num_terminals + terminal_id]`` is one encoded
+  action (see below; ``0`` = syntax error);
+- ``goto_codes[state * num_nonterminals + nt_id]`` is the successor
+  state, ``-1`` when absent.
 
-Alongside the Symbol-keyed dict rows, every table carries **dense
-ID-indexed rows** (``action_rows[state][terminal_id]``,
-``goto_rows[state][nt_id]``) built from the grammar's
-:class:`~repro.grammar.symbols.SymbolIds` layout — the parse engine
-compiles these flat lists into its integer arrays instead of hashing
-Symbols.
+The **action encoding** is the one integer form every consumer shares —
+the parse engines, the binary artifact (:mod:`repro.tables.binfmt`),
+displacement packing (:mod:`repro.tables.displace`) and generated
+parsers (:mod:`repro.tables.codegen`)::
+
+    0                    error / absent cell
+    (state << 2) | 1     shift to ``state``
+    (production << 2) | 2reduce by ``production``
+    3                    accept
+
+The Symbol-keyed rows — ``actions[state][terminal]`` (a :class:`Shift`,
+:class:`Reduce` or :class:`Accept`) and ``gotos[state][nonterminal]`` —
+are a view for diagnostics, text rendering, the JSON artifact and the
+baselines: decoded from the codes on first use and cached.
 
 Conflicts found while filling a cell are recorded (see
 :mod:`repro.tables.conflicts`), a deterministic winner is kept in the
@@ -22,7 +33,7 @@ grammar was conflict-free for the construction used.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
@@ -97,8 +108,83 @@ class Accept(Action):
 ACCEPT = Accept()
 
 
+#: Tag bits of the action encoding.
+ACTION_ERROR = 0
+ACTION_SHIFT = 1
+ACTION_REDUCE = 2
+ACTION_ACCEPT = 3
+
+
+def encode_action(action: "Optional[Action]") -> int:
+    """The integer encoding of *action* (0 for an empty/error cell)."""
+    if action is None:
+        return ACTION_ERROR
+    kind = action.kind
+    if kind == "shift":
+        return (action.state << 2) | ACTION_SHIFT
+    if kind == "reduce":
+        return (action.production << 2) | ACTION_REDUCE
+    if kind == "accept":
+        return ACTION_ACCEPT
+    raise ValueError(f"cannot encode action {action!r}")
+
+
+class ActionDecoder:
+    """Decode encoded action ints back to :class:`Action` objects.
+
+    Shift/Reduce instances are interned per code, so a decoded view
+    holds one object per distinct action, not one per cell.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self) -> None:
+        self._memo: Dict[int, Optional[Action]] = {ACTION_ERROR: None}
+
+    def decode(self, encoded: int) -> "Optional[Action]":
+        try:
+            return self._memo[encoded]
+        except KeyError:
+            pass
+        tag = encoded & 3
+        if tag == ACTION_SHIFT:
+            action = Shift(encoded >> 2)
+        elif tag == ACTION_REDUCE:
+            action = Reduce(encoded >> 2)
+        elif encoded == ACTION_ACCEPT:
+            action = ACCEPT
+        else:
+            raise ValueError(f"invalid encoded action {encoded!r}")
+        self._memo[encoded] = action
+        return action
+
+
+def encode_rows(
+    grammar: Grammar,
+    actions: List[Dict[Symbol, Action]],
+    gotos: List[Dict[Symbol, int]],
+) -> "Tuple[array, array]":
+    """The ``(action_codes, goto_codes)`` arrays of Symbol-keyed rows."""
+    ids = grammar.ids
+    terminal_id = ids.terminal_id
+    nonterminal_id = ids.nonterminal_id
+    width = ids.num_terminals
+    n_nts = ids.num_nonterminals
+    action_codes = array("i", [ACTION_ERROR]) * (len(actions) * width)
+    for state, row in enumerate(actions):
+        base = state * width
+        for terminal, action in row.items():
+            action_codes[base + terminal_id(terminal)] = encode_action(action)
+    goto_codes = array("i", [-1]) * (len(gotos) * n_nts)
+    for state, row in enumerate(gotos):
+        base = state * n_nts
+        for nonterminal, target in row.items():
+            goto_codes[base + nonterminal_id(nonterminal)] = target
+    return action_codes, goto_codes
+
+
 class ParseTable:
-    """ACTION/GOTO tables plus conflict metadata for one construction."""
+    """ACTION/GOTO code arrays plus conflict metadata for one construction."""
 
     def __init__(
         self,
@@ -108,63 +194,83 @@ class ParseTable:
         gotos: List[Dict[Symbol, int]],
         conflicts: List[Conflict],
     ):
-        self.grammar = grammar
-        #: Which construction produced the table: "lr0", "slr1", "lalr1", "clr1".
-        self.method = method
-        self.actions = actions
-        self.gotos = gotos
-        self.conflicts = conflicts
-
-        # Dense ID-indexed twins of the dict rows: the engine's fast path.
-        ids = grammar.ids
-        terminal_id = ids.terminal_id
-        nonterminal_id = ids.nonterminal_id
-        num_terminals = ids.num_terminals
-        empty_goto_row = array("i", [-1]) * ids.num_nonterminals
-        self.action_rows: List[List[Optional[Action]]] = []
-        for row in actions:
-            dense: List[Optional[Action]] = [None] * num_terminals
-            for terminal, action in row.items():
-                dense[terminal_id(terminal)] = action
-            self.action_rows.append(dense)
-        self.goto_rows: List["array"] = []
-        for row in gotos:
-            goto_dense = array(empty_goto_row.typecode, empty_goto_row)
-            for nonterminal, target in row.items():
-                goto_dense[nonterminal_id(nonterminal)] = target
-            self.goto_rows.append(goto_dense)
+        """Encode the Symbol-keyed rows a builder or the JSON loader
+        produced.  The given rows become the cached ``actions``/``gotos``
+        view, so a JSON artifact written from this table keeps their
+        order."""
+        action_codes, goto_codes = encode_rows(grammar, actions, gotos)
+        self._set_codes(grammar, method, action_codes, goto_codes, conflicts)
+        self._actions: "Optional[List[Dict[Symbol, Action]]]" = actions
+        self._gotos: "Optional[List[Dict[Symbol, int]]]" = gotos
 
     @classmethod
-    def from_rows(
+    def from_codes(
         cls,
         grammar: Grammar,
         method: str,
-        actions: List[Dict[Symbol, Action]],
-        gotos: List[Dict[Symbol, int]],
+        action_codes: "array",
+        goto_codes: "array",
         conflicts: List[Conflict],
-        action_rows: "List[List[Optional[Action]]]",
-        goto_rows: "List[array]",
     ) -> "ParseTable":
-        """Assemble a table from prebuilt dict *and* dense rows.
-
-        The incremental refill path uses this to share the untouched
-        rows of a previous table object-for-object instead of paying
-        ``__init__``'s dense-row reconstruction for every state.  The
-        caller guarantees the dense rows mirror the dict rows.
-        """
+        """A table over already-encoded arrays (the binary loader and the
+        incremental refill): nothing is decoded until a caller asks for
+        the Symbol-keyed view."""
         self = object.__new__(cls)
-        self.grammar = grammar
-        self.method = method
-        self.actions = actions
-        self.gotos = gotos
-        self.conflicts = conflicts
-        self.action_rows = action_rows
-        self.goto_rows = goto_rows
+        self._set_codes(grammar, method, action_codes, goto_codes, conflicts)
+        self._actions = None
+        self._gotos = None
         return self
 
+    def _set_codes(
+        self,
+        grammar: Grammar,
+        method: str,
+        action_codes: "array",
+        goto_codes: "array",
+        conflicts: List[Conflict],
+    ) -> None:
+        self.grammar = grammar
+        #: Which construction produced the table: "lr0", "slr1", "lalr1", "clr1".
+        self.method = method
+        self.action_codes = action_codes
+        self.goto_codes = goto_codes
+        self.conflicts = conflicts
+        self.n_states = len(action_codes) // grammar.ids.num_terminals
+
     @property
-    def n_states(self) -> int:
-        return len(self.actions)
+    def actions(self) -> List[Dict[Symbol, Action]]:
+        """``actions[state][terminal]``: the ACTION rows keyed by Symbol."""
+        if self._actions is None:
+            terminals = self.grammar.ids.terminals
+            width = len(terminals)
+            codes = self.action_codes
+            decode = ActionDecoder().decode
+            self._actions = [
+                {
+                    terminals[tid]: decode(codes[base + tid])
+                    for tid in range(width)
+                    if codes[base + tid] != ACTION_ERROR
+                }
+                for base in range(0, len(codes), width)
+            ]
+        return self._actions
+
+    @property
+    def gotos(self) -> List[Dict[Symbol, int]]:
+        """``gotos[state][nonterminal]``: the GOTO rows keyed by Symbol."""
+        if self._gotos is None:
+            nonterminals = self.grammar.ids.nonterminals
+            width = len(nonterminals)
+            codes = self.goto_codes
+            self._gotos = [
+                {
+                    nonterminals[nt]: codes[base + nt]
+                    for nt in range(width)
+                    if codes[base + nt] >= 0
+                }
+                for base in range(0, len(codes), width)
+            ]
+        return self._gotos
 
     @property
     def is_deterministic(self) -> bool:
@@ -188,11 +294,12 @@ class ParseTable:
 
     def action_by_id(self, state: int, terminal_id: int) -> Optional[Action]:
         """The parse action for (state, terminal ID) — no Symbol hashing."""
-        return self.action_rows[state][terminal_id]
+        width = self.grammar.ids.num_terminals
+        return ActionDecoder().decode(self.action_codes[state * width + terminal_id])
 
     def goto_by_id(self, state: int, nt_id: int) -> int:
         """The goto target for (state, nonterminal ID), or -1."""
-        return self.goto_rows[state][nt_id]
+        return self.goto_codes[state * self.grammar.ids.num_nonterminals + nt_id]
 
     def conflict_summary(self) -> Dict[str, int]:
         """Counts by conflict kind (shift/reduce vs reduce/reduce)."""
@@ -208,8 +315,9 @@ class ParseTable:
 
     def size_cells(self) -> int:
         """Number of populated table cells (actions + gotos)."""
-        return sum(len(row) for row in self.actions) + sum(
-            len(row) for row in self.gotos
+        action_codes, goto_codes = self.action_codes, self.goto_codes
+        return (len(action_codes) - action_codes.count(ACTION_ERROR)) + (
+            len(goto_codes) - goto_codes.count(-1)
         )
 
     def format(self, max_states: int = 0) -> str:

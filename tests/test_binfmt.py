@@ -11,7 +11,6 @@ from repro.tables.binfmt import (
     _HEADER,
     BINARY_FORMAT_VERSION,
     BINARY_SUFFIX,
-    BinaryTable,
     load_binary_table,
     save_binary_table,
     table_from_bytes,
@@ -32,10 +31,9 @@ class TestRoundTrip:
         restored = table_from_bytes(table_to_bytes(table), grammar)
         assert restored.n_states == table.n_states
         assert restored.method == table.method
+        assert restored.action_codes == table.action_codes
+        assert restored.goto_codes == table.goto_codes
         assert restored.actions == table.actions
-        assert [list(r) for r in restored.goto_rows] == [
-            list(r) for r in table.goto_rows
-        ]
 
     def test_file_round_trip(self, tmp_path):
         grammar = corpus.load("expr", augment=True)
@@ -45,7 +43,6 @@ class TestRoundTrip:
         assert written == path.stat().st_size
         restored = load_binary_table(str(path), grammar)
         assert restored.actions == table.actions
-        restored.close()
 
     def test_deterministic_bytes(self):
         table = expr_table()
@@ -77,12 +74,22 @@ class TestRoundTrip:
 
 
 class TestLazyDecode:
-    def test_rows_cached_and_interned(self):
+    def test_load_and_parse_decode_no_cell(self, monkeypatch):
+        from repro.tables.table import ActionDecoder
+
         grammar = corpus.load("expr", augment=True)
-        table = build_lalr_table(grammar)
-        restored = table_from_bytes(table_to_bytes(table), grammar)
-        assert restored.action_rows[0] is restored.action_rows[0]
-        assert restored.goto_rows[0] is restored.goto_rows[0]
+        blob = table_to_bytes(build_lalr_table(grammar))
+        decoded = []
+        original = ActionDecoder.decode
+
+        def counting(self, encoded):
+            decoded.append(encoded)
+            return original(self, encoded)
+
+        monkeypatch.setattr(ActionDecoder, "decode", counting)
+        restored = table_from_bytes(blob, grammar)
+        assert Parser(restored).accepts(["id", "+", "id", "*", "id"])
+        assert decoded == []
 
     def test_duck_compatible_surface(self):
         grammar = corpus.load("expr", augment=True)
@@ -186,18 +193,6 @@ class TestAtomicWrite:
         save_binary_table(table, str(path))
         restored = load_binary_table(str(path), grammar)
         assert restored.actions == table.actions
-        restored.close()
-
-
-class TestClose:
-    def test_close_is_idempotent(self, tmp_path):
-        grammar = corpus.load("expr", augment=True)
-        path = tmp_path / f"table{BINARY_SUFFIX}"
-        save_binary_table(build_lalr_table(grammar), str(path))
-        restored = load_binary_table(str(path), grammar)
-        assert isinstance(restored, BinaryTable)
-        restored.close()
-        restored.close()
 
 
 class TestResolvedConflictSection:

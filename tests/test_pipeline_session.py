@@ -48,12 +48,10 @@ def assert_matches_scratch(session):
     assert set(session.analysis.reads_sccs) == set(analysis.reads_sccs)
     assert set(session.analysis.includes_sccs) == set(analysis.includes_sccs)
 
+    assert session.table.action_codes == table.action_codes
+    assert session.table.goto_codes == table.goto_codes
     assert session.table.actions == table.actions
     assert session.table.gotos == table.gotos
-    assert session.table.action_rows == table.action_rows
-    assert [list(row) for row in session.table.goto_rows] == [
-        list(row) for row in table.goto_rows
-    ]
     assert [c.describe(grammar) for c in session.table.conflicts] == [
         c.describe(grammar) for c in table.conflicts
     ]
@@ -78,6 +76,24 @@ class TestStrategies:
         assert not report.fell_back
         assert 0 < report.dirty_states < report.total_states
         assert_matches_scratch(session)
+
+    def test_rhs_splice_decodes_no_cell(self, grammar, monkeypatch):
+        # The refill copies clean rows as code slices and encodes only
+        # the refilled ones: an edit never pays for the Symbol-keyed view.
+        from repro.tables.table import ActionDecoder
+
+        session = AnalysisSession(grammar)
+        decoded = []
+        original = ActionDecoder.decode
+
+        def counting(self, encoded):
+            decoded.append(encoded)
+            return original(self, encoded)
+
+        monkeypatch.setattr(ActionDecoder, "decode", counting)
+        report = session.update(replace_rhs(grammar, 1, ["E", "*", "T"]))
+        assert report.strategy == "splice"
+        assert decoded == []
 
     def test_structural_edit_rebuilds(self, grammar):
         session = AnalysisSession(grammar)

@@ -16,9 +16,10 @@ deterministic LALR grammar, that loop must agree with:
   loops agreed on them.
 
 Plus the compilation invariants: a default reduction only on
-fully-uniform reduce rows, the arrays decode back to the source table
-cell for cell, every row representation compiles to the same arrays,
-and panic-mode recovery reads every representation's rows alike.
+fully-uniform reduce rows, the arrays decode back to the source table's
+Symbol-keyed rows cell for cell, tables loaded from either artifact
+compile to the same arrays, and panic-mode recovery over them reports
+the same errors.
 """
 
 from __future__ import annotations
@@ -34,19 +35,14 @@ from repro.parser.tree import count_nodes
 from repro.tables import (
     SpecializedTable,
     build_lalr_table,
-    compress,
-    displace,
     specialize,
     specialized_view,
     table_from_bytes,
+    table_from_dict,
     table_to_bytes,
+    table_to_dict,
 )
-from repro.tables.displace import (
-    ACTION_ERROR,
-    ACTION_REDUCE,
-    ActionDecoder,
-    encode_action,
-)
+from repro.tables.table import ACTION_REDUCE, ActionDecoder, encode_action
 
 #: Corpus grammars whose LALR table is deterministic (the engine refuses
 #: conflicted tables, so parity is defined over these).
@@ -65,11 +61,10 @@ def _pair(name):
 
 
 def _representations(table):
-    """Every row representation of *table*, labelled."""
+    """*table* and its JSON and binary artifact round-trips, labelled."""
     return [
         ("dense", table),
-        ("compressed", compress(table)),
-        ("displaced", displace(table)),
+        ("json", table_from_dict(table_to_dict(table), table.grammar)),
         ("binary", table_from_bytes(table_to_bytes(table), table.grammar)),
     ]
 
@@ -238,8 +233,8 @@ class TestInstrumentParity:
 
 
 class TestRecoveryParity:
-    """Panic-mode recovery reads the source table's rows; every row
-    representation must recover cell-for-cell like the dense table."""
+    """Panic-mode recovery over a table loaded from either artifact must
+    report exactly the errors it reports over the built table."""
 
     def _sync_for(self, grammar):
         names = {t.name for t in grammar.terminals}
@@ -276,8 +271,9 @@ class TestSpecializationInvariants:
         table = build_lalr_table(grammar)
         fast = specialize(table)
         width = fast.num_terminals
-        for state, row in enumerate(table.action_rows):
-            coded = [encode_action(cell) for cell in row]
+        terminals = grammar.ids.terminals
+        for state, row in enumerate(table.actions):
+            coded = [encode_action(row.get(terminal)) for terminal in terminals]
             uniform = (
                 bool(coded)
                 and (coded[0] & 3) == ACTION_REDUCE
@@ -288,36 +284,37 @@ class TestSpecializationInvariants:
                 assert default == coded[0], state
             else:
                 assert default == -1, state
-            # And the flat matrix is exactly the dense rows, re-encoded.
+            # And the flat matrix is exactly the Symbol-keyed row, encoded.
             assert fast.action_codes[state * width:(state + 1) * width] == coded
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
     def test_parse_table_surface_parity(self, name):
         """The compiled arrays decode back to the source table's
-        ``action_by_id``/``goto_by_id`` surface, cell for cell."""
+        Symbol-keyed ``action``/``goto`` rows, cell for cell."""
         grammar = corpus.load(name).augmented()
         table = build_lalr_table(grammar)
         fast = specialize(table)
         decoder = ActionDecoder()
+        ids = grammar.ids
         width, n_nts = fast.num_terminals, fast.num_nonterminals
         assert len(fast.default_codes) == table.n_states
         assert len(fast.action_codes) == table.n_states * width
         assert len(fast.goto_codes) == table.n_states * n_nts
         for state in range(table.n_states):
-            for tid in range(width):
+            for tid, terminal in enumerate(ids.terminals):
                 assert decoder.decode(
                     fast.action_codes[state * width + tid]
-                ) == table.action_by_id(state, tid)
-            for nt in range(n_nts):
-                assert fast.goto_codes[state * n_nts + nt] == table.goto_by_id(
-                    state, nt
+                ) == table.action(state, terminal)
+            for nt, nonterminal in enumerate(ids.nonterminals):
+                target = table.goto(state, nonterminal)
+                assert fast.goto_codes[state * n_nts + nt] == (
+                    -1 if target is None else target
                 )
 
     @pytest.mark.parametrize("name", corpus.names())
     def test_representations_compile_identically(self, name):
-        """Dense, compressed, displaced and binary round-trip tables —
-        conflicted ones included — compile to the same arrays, so the
-        representation decides size and load time, never the loop."""
+        """JSON and binary round-trip tables — conflicted ones included —
+        compile to the same arrays as the built table."""
         table = build_lalr_table(corpus.load(name).augmented())
         reference = specialize(table)
         for label, rep in _representations(table)[1:]:
@@ -332,15 +329,8 @@ class TestSpecializationInvariants:
         stats = specialize(table).specialization_stats()
         assert stats == specialize(table).specialization_stats()
         assert stats["states"] == table.n_states
-        assert stats["action_cells"] == sum(
-            len(row) for row in table.action_rows
-        )
-        populated = sum(
-            1
-            for row in table.action_rows
-            for cell in row
-            if encode_action(cell) != ACTION_ERROR
-        )
+        assert stats["action_cells"] == table.n_states * grammar.ids.num_terminals
+        populated = sum(len(row) for row in table.actions)
         assert stats["populated_cells"] == populated
         assert (
             stats["shift_cells"] + stats["reduce_cells"] + stats["accept_cells"]

@@ -1,10 +1,9 @@
-"""Integration tests: representation parity and the artifacts bench.
+"""Integration tests: artifact round-trips and the artifacts bench.
 
-The repo carries four interchangeable representations of one LALR(1)
-table — plain dense rows, the compressed (default-reduce) form, the
-displacement-packed form, and the binary artifact round-trip.  These
-tests pin the tentpole invariant corpus-wide: identical parses, error
-positions, messages and expected sets, regardless of representation.
+A parse table has one stored form, its code arrays, and two on-disk
+artifacts: JSON and binary.  These tests pin corpus-wide that both
+round-trips reproduce the code arrays exactly and drive the engine to
+identical parses, error positions, messages and expected sets.
 """
 
 import pytest
@@ -20,8 +19,7 @@ from repro.grammars import corpus
 from repro.parser import ParseError, Parser
 from repro.tables import build_lalr_table
 from repro.tables.binfmt import table_from_bytes, table_to_bytes
-from repro.tables.compress import compress
-from repro.tables.displace import displace
+from repro.tables.serialize import table_from_dict, table_to_dict
 
 
 def outcome_of(parser, tokens):
@@ -44,11 +42,14 @@ class TestCorpusWideDifferential:
         if not table.is_deterministic:
             pytest.skip("needs a deterministic LALR table")
         reference = Parser(table)
-        variants = {
-            "compressed": Parser(compress(table)),
-            "displaced": Parser(displace(table)),
-            "binary": Parser(table_from_bytes(table_to_bytes(table), grammar)),
+        loaded = {
+            "json": table_from_dict(table_to_dict(table), grammar),
+            "binary": table_from_bytes(table_to_bytes(table), grammar),
         }
+        for label, restored in loaded.items():
+            assert restored.action_codes == table.action_codes, label
+            assert restored.goto_codes == table.goto_codes, label
+        variants = {label: Parser(restored) for label, restored in loaded.items()}
         terminals = [t for t in grammar.terminals if t is not grammar.eof]
 
         generator = SentenceGenerator(grammar, seed=13)
@@ -105,9 +106,7 @@ class TestArtifactsBench:
     def test_snapshot_shape(self, snapshot):
         assert snapshot["format"] == ARTIFACT_BASELINE_FORMAT
         entry = snapshot["grammars"]["expr"]
-        assert set(entry["tokens_per_sec"]) == {
-            "plain", "compressed", "displaced", "binary",
-        }
+        assert entry["tokens_per_sec"] > 0
         assert set(entry["cold_load_seconds"]) == {"json", "bin"}
         counters = entry["counters"]
         assert counters["stored_cells"] < counters["dense_cells"]

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -177,8 +180,9 @@ class TestStore:
 
 
 class TestBinaryBackend:
-    """backend="bin" stores .rtb artifacts and loads them zero-copy; the
-    eviction/corruption contract is identical to the JSON backend."""
+    """backend="bin" stores .rtb artifacts and loads them as a verified
+    copy; the eviction/corruption contract is identical to the JSON
+    backend."""
 
     @pytest.fixture
     def bin_cache(self, tmp_path):
@@ -219,6 +223,65 @@ class TestBinaryBackend:
         assert len(calls) == 2
         assert bin_cache.corrupt == 1
         assert table.is_deterministic
+
+    def test_entry_truncated_under_a_live_reader(self, tmp_path):
+        """A loaded table owns its memory: truncating its .rtb in place
+        leaves it parsing exactly like a fresh build, and the next load
+        evicts the damaged entry and rebuilds.  Runs in a child process
+        because a table still reading the file would die of SIGBUS."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from repro.analysis import SentenceGenerator
+            from repro.grammars import corpus
+            from repro.parser import ParseError, Parser
+            from repro.tables import TableCache, build_lalr_table
+
+            def outcome(parser, tokens):
+                try:
+                    return ("tree", parser.parse(tokens).sexpr())
+                except ParseError as error:
+                    return ("error", str(error), error.position, error.expected)
+
+            directory = sys.argv[1]
+            grammar = corpus.load("toy_java", augment=True)
+            cache = TableCache(directory, backend="bin")
+            cache.load_or_build(grammar, "lalr1", build_lalr_table)
+            loaded = cache.load(grammar, "lalr1")
+            path = cache.path_for(grammar, "lalr1")
+            os.truncate(path, 200)
+
+            fresh = build_lalr_table(grammar)
+            live, reference = Parser(loaded), Parser(fresh)
+            terminals = sorted(
+                (t for t in grammar.terminals if t is not grammar.eof),
+                key=lambda s: s.name,
+            )
+            streams = []
+            for i, sentence in enumerate(
+                SentenceGenerator(grammar, seed=3).sentences(6, budget=30)
+            ):
+                streams += [sentence, sentence[:-1], sentence + [terminals[i]]]
+            for tokens in streams:
+                assert outcome(live, tokens) == outcome(reference, tokens)
+
+            second = TableCache(directory, backend="bin")
+            assert second.load(grammar, "lalr1") is None
+            assert second.corrupt == 1 and not os.path.exists(path)
+            rebuilt = second.load_or_build(grammar, "lalr1", build_lalr_table)
+            assert second.stores == 1
+            assert rebuilt.action_codes == fresh.action_codes
+            print("survived")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "cache")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.strip() == "survived"
 
     def test_backends_are_keyed_separately(self, grammar, tmp_path):
         directory = str(tmp_path / "cache")
