@@ -4,7 +4,6 @@ from .harness import (
     METHODS,
     Timer,
     bench_snapshot,
-    compare_baseline,
     cost_row,
     grammar_row,
     measure_methods,
@@ -19,7 +18,6 @@ __all__ = [
     "METHODS",
     "Timer",
     "bench_snapshot",
-    "compare_baseline",
     "cost_row",
     "dict_rows",
     "format_series",

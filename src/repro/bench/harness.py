@@ -1,4 +1,4 @@
-"""Measurement utilities for the experiment suite.
+"""Measurement utilities for the experiment suite, and the ``core`` scenario.
 
 The paper reports per-grammar rows (timings on 1979 hardware plus
 derived counts).  Wall-clock numbers do not transfer across 45 years of
@@ -10,6 +10,16 @@ hardware, so every experiment here reports **both**:
 
 The *shape* — which method is cheapest, how ratios move with grammar
 size — is the reproducible claim; EXPERIMENTS.md records it.
+
+The ``core`` bench scenario (:func:`bench_snapshot`) pins the lookahead
+analysis in ``BENCH_lr0_kernel.json``::
+
+    repro bench core --baseline BENCH_lr0_kernel.json
+
+Its wall times are informational.  Drift in its counters — relation
+edges, Digraph unions, look-ahead bits, SCC sizes, the grammar's
+content fingerprint — means the *algorithm* (or the grammar) changed,
+not the hardware.
 """
 
 from __future__ import annotations
@@ -40,16 +50,14 @@ def time_callable(fn: Callable[[], object], repeats: int = 5) -> float:
 
 
 #: The lookahead methods compared throughout: name -> analysis factory.
-#: Each factory takes (grammar, shared LR(0) automaton, budget) so the
+#: Each factory takes (grammar, shared LR(0) automaton) so the
 #: automaton cost — common to all LR(0)-based methods — is excluded,
 #: exactly as the paper charges only the lookahead phase to each method.
-#: Only the DP analysis is budget-aware; the baselines ignore it (their
-#: cost is bounded by the automaton the budget already gated).
 METHODS: "Dict[str, Callable[..., object]]" = {
-    "deremer_pennello": lambda g, a, b=None: LalrAnalysis(g, a, budget=b),
-    "propagation": lambda g, a, b=None: PropagationAnalysis(g, a),
-    "lr1_merge": lambda g, a, b=None: MergedLr1Analysis(g, a),
-    "slr_follow": lambda g, a, b=None: SlrAnalysis(g, a).lookahead_table(),
+    "deremer_pennello": lambda g, a: LalrAnalysis(g, a),
+    "propagation": lambda g, a: PropagationAnalysis(g, a),
+    "lr1_merge": lambda g, a: MergedLr1Analysis(g, a),
+    "slr_follow": lambda g, a: SlrAnalysis(g, a).lookahead_table(),
 }
 
 
@@ -57,22 +65,13 @@ def measure_methods(
     grammar: Grammar,
     methods: "Sequence[str] | None" = None,
     repeats: int = 5,
-    budget_seconds: float = 0.0,
 ) -> Dict[str, float]:
-    """Median lookahead-computation time per method for one grammar.
-
-    A nonzero *budget_seconds* caps the whole measurement (automaton
-    build plus every repeat) with one :class:`Budget` deadline; blowing
-    it raises :class:`BudgetExceeded` with the phase reached.
-    """
+    """Median lookahead-computation time per method for one grammar."""
     grammar = grammar.augmented()
-    budget = Budget(timeout=budget_seconds) if budget_seconds else None
-    automaton = LR0Automaton(grammar, budget=budget)
+    automaton = LR0Automaton(grammar)
     chosen = methods or list(METHODS)
     return {
-        name: time_callable(
-            lambda n=name: METHODS[n](grammar, automaton, budget), repeats
-        )
+        name: time_callable(lambda n=name: METHODS[n](grammar, automaton), repeats)
         for name in chosen
     }
 
@@ -172,266 +171,66 @@ def profile_pipeline(
     return collector
 
 
-#: Format tag for baseline snapshot files (``BENCH_core_ids.json``).
-BASELINE_FORMAT = 1
+#: The grammars the ``core`` scenario measures by default: the entries of
+#: ``BENCH_lr0_kernel.json``.
+DEFAULT_GRAMMARS = ("expr", "json", "mini_c", "algol_like", "toy_java")
+
+#: Timing repetitions per grammar (the lookahead time is a median).
+REPEATS = 1
+
+#: Per-grammar analysis deadline in seconds; 0 means none.  A grammar
+#: that blows it yields a ``skipped`` entry instead of hanging the sweep.
+BUDGET_SECONDS = 0.0
 
 
-def bench_snapshot(
-    named_grammars: "Sequence[Tuple[str, Grammar]]",
-    repeats: int = 5,
-    budget_seconds: float = 0.0,
-) -> Dict:
-    """A machine-readable benchmark snapshot for baseline comparison.
-
-    Per grammar: the median DeRemer–Pennello lookahead wall time (the
-    Table-2 workload), the per-phase instrument span totals of one full
-    pipeline run, and the machine-independent cost counters.  The
-    counters are what cross-commit comparisons *assert* on — wall times
-    vary with hardware and are reported for context only.
-    """
-    grammars: Dict[str, Dict] = {}
-    for name, grammar in named_grammars:
-        grammars[name] = _snapshot_entry(grammar, repeats, budget_seconds)
-    return {"format": BASELINE_FORMAT, "grammars": grammars}
-
-
-def _snapshot_entry(
-    grammar: Grammar, repeats: int, budget_seconds: float = 0.0
-) -> Dict:
-    """One grammar's snapshot row (see :func:`bench_snapshot`).
-
-    With a nonzero *budget_seconds*, a grammar that blows the per-grammar
-    deadline yields a ``{"budget_exceeded": ...}`` marker row instead of
-    hanging the whole sweep; :func:`compare_baseline` reports such rows
-    as drift rather than crashing on the missing timings.
-    """
-    grammar = grammar.augmented()
-    try:
-        budget = Budget(timeout=budget_seconds) if budget_seconds else None
-        automaton = LR0Automaton(grammar, budget=budget)
-        seconds = time_callable(
-            lambda: LalrAnalysis(grammar, automaton, budget=budget), repeats
-        )
-        analysis = LalrAnalysis(grammar, automaton, budget=budget)
-        collector = profile_pipeline(grammar)
-    except BudgetExceeded as error:
-        return {"budget_exceeded": error.describe()}
-    return {
-        "fingerprint": grammar_fingerprint(grammar),
-        "lookahead_seconds": seconds,
-        "phases": collector.phase_totals(),
-        "counters": analysis.cost_summary(),
-    }
-
-
-def _load_spec(spec: str) -> "Tuple[str, Grammar]":
-    """(display name, grammar) for a CLI grammar spec."""
+def load_named(name: str) -> "Tuple[str, Grammar]":
+    """(entry name, grammar) for a bench name: a corpus grammar name,
+    optionally ``corpus:``-prefixed, or a grammar file path."""
     import os
 
     from ..grammar.reader import load_grammar_file
     from ..grammars import corpus
 
-    if spec.startswith("corpus:"):
-        name = spec.split(":", 1)[1]
-        return name, corpus.load(name)
-    return os.path.basename(spec), load_grammar_file(spec)
+    if name.startswith("corpus:"):
+        name = name[len("corpus:"):]
+    elif name not in corpus.names():
+        return os.path.basename(name), load_grammar_file(name)
+    return name, corpus.load(name)
 
 
-def _snapshot_worker(task: "Tuple[str, int, float]") -> "Tuple[str, Dict]":
-    """Parallel-map worker: snapshot one grammar *spec*.
+def bench_snapshot(names: "Sequence[str]" = DEFAULT_GRAMMARS) -> Dict:
+    """The ``core`` scenario: one entry per grammar.
 
-    Takes the spec string, not a Grammar — grammars are re-loaded inside
-    the worker so no interned symbols cross the process boundary.
+    Per grammar: the median DeRemer–Pennello lookahead wall time (the
+    Table-2 workload) and the per-phase instrument span totals of one
+    full pipeline run, both informational, plus the machine-independent
+    cost counters and the grammar's content fingerprint, which gate.
     """
-    spec, repeats, budget_seconds = task
-    name, grammar = _load_spec(spec)
-    return name, _snapshot_entry(grammar, repeats, budget_seconds)
+    return {
+        name: _snapshot_entry(grammar)
+        for name, grammar in map(load_named, names)
+    }
 
 
-def _measure_worker(task: "Tuple[str, int, float]") -> "Tuple[str, object]":
-    """Parallel-map worker: the method-timing row for one grammar spec.
-
-    Returns the timing dict, or the budget diagnostic string when the
-    grammar blew the per-grammar ``--budget`` deadline.
-    """
-    spec, repeats, budget_seconds = task
-    name, grammar = _load_spec(spec)
+def _snapshot_entry(grammar: Grammar) -> Dict:
+    """One grammar's entry (see :func:`bench_snapshot`)."""
+    grammar = grammar.augmented()
     try:
-        return name, measure_methods(
-            grammar, repeats=repeats, budget_seconds=budget_seconds
+        budget = Budget(timeout=BUDGET_SECONDS) if BUDGET_SECONDS else None
+        automaton = LR0Automaton(grammar, budget=budget)
+        seconds = time_callable(
+            lambda: LalrAnalysis(grammar, automaton, budget=budget), REPEATS
         )
+        analysis = LalrAnalysis(grammar, automaton, budget=budget)
+        collector = profile_pipeline(grammar)
     except BudgetExceeded as error:
-        return name, error.describe()
-
-
-def compare_baseline(current: Dict, baseline: Dict) -> "Tuple[List[List], List[str]]":
-    """Diff a snapshot against a stored baseline.
-
-    Returns ``(rows, drift)``: one display row per grammar present in
-    both snapshots — ``[name, phase, baseline_ms, current_ms, speedup]``
-    with an overall ``lookahead`` row followed by one row per shared
-    instrument-span phase — and a list of human-readable counter-drift
-    messages.  Drift in the operation counters means the *algorithm*
-    changed, not the hardware, so callers (the CI smoke check) should
-    fail on any drift.
-    """
-    rows: List[List] = []
-    drift: List[str] = []
-    base_grammars = baseline.get("grammars", {})
-
-    def ratio(base_seconds: float, seconds: float) -> float:
-        return base_seconds / seconds if seconds else float("inf")
-
-    for name, entry in current.get("grammars", {}).items():
-        base = base_grammars.get(name)
-        if base is None:
-            drift.append(f"{name}: not present in baseline")
-            continue
-        # Marker rows from a budget-governed sweep carry no timings or
-        # counters; surface them as drift instead of KeyError-ing.
-        if "lookahead_seconds" not in entry:
-            drift.append(f"{name}: {entry.get('budget_exceeded', 'no timings')}")
-            continue
-        if "lookahead_seconds" not in base:
-            drift.append(f"{name}: baseline has no timings "
-                         f"({base.get('budget_exceeded', 'marker row')})")
-            continue
-        # Same-name-different-grammar is the silent killer of counter
-        # diffs; the content fingerprint catches it.  Checked only when
-        # both sides carry one so pre-fingerprint baselines stay valid.
-        if (
-            "fingerprint" in entry
-            and "fingerprint" in base
-            and entry["fingerprint"] != base["fingerprint"]
-        ):
-            drift.append(f"{name}: grammar content fingerprint changed "
-                         f"({base['fingerprint'][:12]}... -> "
-                         f"{entry['fingerprint'][:12]}...)")
-        base_seconds = base["lookahead_seconds"]
-        entry_seconds = entry["lookahead_seconds"]
-        rows.append([
-            name,
-            "lookahead",
-            base_seconds * 1e3,
-            entry_seconds * 1e3,
-            ratio(base_seconds, entry_seconds),
-        ])
-        base_phases = base.get("phases", {})
-        for phase, seconds in entry.get("phases", {}).items():
-            if phase in base_phases:
-                rows.append([
-                    name,
-                    phase,
-                    base_phases[phase] * 1e3,
-                    seconds * 1e3,
-                    ratio(base_phases[phase], seconds),
-                ])
-        for key, base_value in sorted(base.get("counters", {}).items()):
-            value = entry["counters"].get(key)
-            if value != base_value:
-                drift.append(f"{name}: counter {key} {base_value} -> {value}")
-    return rows, drift
-
-
-def main(argv: "Sequence[str] | None" = None) -> int:
-    """``python -m repro.bench.harness`` — time/profile lookahead methods.
-
-    With ``--profile``, prints the per-phase breakdown for each grammar
-    and optionally writes the machine-readable profile JSON (one file per
-    grammar) for cross-commit diffing.  ``--write-baseline`` captures a
-    snapshot (timings + operation counters) and ``--baseline`` compares
-    the current run against one, exiting nonzero on counter drift — the
-    CI smoke check drives exactly this pair.
-    """
-    import argparse
-    import json
-    import os
-
-    from ..core.parallel import parallel_map
-
-    parser = argparse.ArgumentParser(prog="repro.bench.harness")
-    parser.add_argument("grammars", nargs="+",
-                        help="grammar files or corpus:<name> specs")
-    parser.add_argument("--method", default="lalr1",
-                        choices=["lr0", "slr1", "lalr1", "clr1"])
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="bench grammars across N worker processes; "
-                             "operation counters are unaffected, wall "
-                             "times get noisier under CPU contention "
-                             "(default 1)")
-    parser.add_argument("--budget", type=float, default=0.0, metavar="SEC",
-                        help="per-grammar analysis deadline; a grammar "
-                             "that blows it reports 'budget exceeded' "
-                             "instead of hanging the sweep (default: none)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print a per-phase pipeline breakdown")
-    parser.add_argument("--profile-dir", default="",
-                        help="also write one profile JSON per grammar here")
-    parser.add_argument("--baseline", default="",
-                        help="compare against a snapshot JSON "
-                             "(exit 1 on operation-counter drift)")
-    parser.add_argument("--write-baseline", default="",
-                        help="write a snapshot JSON instead of reporting")
-    args = parser.parse_args(argv)
-
-    def snapshot_all() -> Dict:
-        tasks = [(spec, args.repeats, args.budget) for spec in args.grammars]
-        rows = parallel_map(_snapshot_worker, tasks, workers=args.workers)
-        return {"format": BASELINE_FORMAT, "grammars": dict(rows)}
-
-    if args.write_baseline:
-        snapshot = snapshot_all()
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.write_baseline} ({len(snapshot['grammars'])} grammars)")
-        return 0
-
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        snapshot = snapshot_all()
-        rows, drift = compare_baseline(snapshot, baseline)
-        header = (f"{'grammar':20s} {'phase':24s} "
-                  f"{'base ms':>10s} {'now ms':>10s} {'speedup':>8s}")
-        print(header)
-        for name, phase, base_ms, now_ms, ratio in rows:
-            print(f"{name:20s} {phase:24s} {base_ms:10.3f} {now_ms:10.3f} {ratio:7.2f}x")
-        if drift:
-            print("operation-counter drift (algorithm changed?):")
-            for message in drift:
-                print(f"  {message}")
-            return 1
-        print("operation counters match the baseline")
-        return 0
-
-    if args.profile:
-        for spec in args.grammars:
-            name, grammar = _load_spec(spec)
-            print(f"== {name} ==")
-            collector = profile_pipeline(grammar, method=args.method)
-            print(collector.format())
-            if args.profile_dir:
-                os.makedirs(args.profile_dir, exist_ok=True)
-                out = os.path.join(args.profile_dir, f"{name}.{args.method}.json")
-                with open(out, "w", encoding="utf-8") as handle:
-                    handle.write(collector.to_json())
-                print(f"wrote {out}")
-        return 0
-
-    tasks = [(spec, args.repeats, args.budget) for spec in args.grammars]
-    for name, times in parallel_map(_measure_worker, tasks, workers=args.workers):
-        print(f"== {name} ==")
-        if isinstance(times, str):
-            print(f"  budget exceeded: {times}")
-            continue
-        for method, seconds in times.items():
-            print(f"  {method:20s} {seconds * 1e3:10.3f} ms")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+        return {"skipped": f"budget exceeded: {error.describe()}"}
+    # Same-name-different-grammar is the silent killer of counter
+    # diffs; the content fingerprint, gated like a counter, catches it.
+    counters: Dict[str, object] = dict(analysis.cost_summary())
+    counters["fingerprint"] = grammar_fingerprint(grammar)
+    return {
+        "lookahead_seconds": seconds,
+        "phases": collector.phase_totals(),
+        "counters": counters,
+    }

@@ -1,4 +1,4 @@
-"""The incremental-session benchmark: edit latency vs full rebuild.
+"""The ``incremental`` bench scenario: edit latency vs full rebuild.
 
 For each corpus grammar this benchmark finds a deterministic
 single-terminal substitution that the session machinery can splice
@@ -15,13 +15,16 @@ The session memo is disabled for the measurement so every update is a
 real splice (with the memo on, flipping back to a previously seen
 grammar is a dictionary lookup — faster, but not what we are measuring).
 
-Like :mod:`repro.bench.harness`, wall times are reported for context;
-what cross-commit comparisons *assert* on are the machine-independent
+Like the ``core`` scenario, wall times and the derived speedup are
+informational.  The counters gate: the edit recipe itself
+(``edit.production``, ``edit.position``, ``edit.replacement``), the
+dirty-region size (``dirty_states`` of ``total_states``) and the
 ``phase.*`` counters of one instrumented splice (states respliced,
-relation rows recomputed, table rows refilled, zero fallbacks) plus the
-edit recipe itself.  ``--write-baseline``/``--baseline`` mirror the
-harness CLI; ``BENCH_incremental.json`` at the repo root is the pinned
-snapshot CI diffs against.
+relation rows recomputed, table rows refilled, zero fallbacks).  Drift
+in them means the splice machinery's behaviour changed without
+``BENCH_incremental.json`` being regenerated deliberately::
+
+    repro bench incremental --baseline BENCH_incremental.json
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ from ..grammar.delta import replace_rhs
 from ..grammar.grammar import Grammar
 from ..pipeline import AnalysisSession
 from ..tables.build import build_lalr_table
-
-#: Format tag for ``BENCH_incremental.json`` snapshots.
-BASELINE_FORMAT = 1
+from .harness import load_named
 
 #: The default workload: the larger corpus grammars (the small ones
 #: finish either way in microseconds and time mostly interpreter noise).
 DEFAULT_GRAMMARS = ("mini_c", "toy_java", "algol_like", "mini_pascal_det")
+
+#: Timed full rebuilds per grammar (and twice as many timed updates).
+REPEATS = 3
 
 
 #: Probe budget for :func:`find_splice_edit` — bounds bench startup on
@@ -126,21 +130,15 @@ def find_splice_edit(grammar: Grammar) -> "Optional[Tuple[int, int, str]]":
     return best
 
 
-def _median(samples: "List[float]") -> float:
-    return statistics.median(samples)
-
-
-def measure_incremental(
-    grammar: Grammar, repeats: int = 7
-) -> "Optional[Dict]":
-    """One grammar's snapshot row, or None when no edit splices.
+def measure_incremental(grammar: Grammar) -> "Optional[Dict]":
+    """One grammar's entry, or None when no edit splices.
 
     ``full_seconds`` times the from-scratch pipeline on the edited
     grammar; ``incremental_seconds`` times ``session.update`` toggling
     between the base and edited grammars (memo off, so both directions
-    are genuine splices).  ``counters`` holds the ``phase.*`` counters of
-    one instrumented splice — the deterministic part a baseline diff
-    asserts on.
+    are genuine splices).  ``counters`` holds the edit recipe, the dirty
+    region and the ``phase.*`` counters of one instrumented splice — the
+    deterministic part a baseline diff asserts on.
     """
     grammar = grammar.augmented()
     edit = find_splice_edit(grammar)
@@ -158,7 +156,7 @@ def measure_incremental(
     )
 
     full_samples: "List[float]" = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         automaton = LR0Automaton(edited)
         analysis = LalrAnalysis(edited, automaton, record_walks=True)
@@ -168,7 +166,7 @@ def measure_incremental(
     session = AnalysisSession(grammar, memo_size=0)
     incremental_samples: "List[float]" = []
     dirty_states = total_states = 0
-    for step in range(repeats * 2):
+    for step in range(REPEATS * 2):
         target = edited if step % 2 == 0 else grammar
         start = time.perf_counter()
         report = session.update(target)
@@ -181,22 +179,20 @@ def measure_incremental(
         probe = AnalysisSession(grammar, memo_size=0)
         baseline_counters = dict(collector.counters)
         probe.update(edited)
-    counters = {
-        key: value - baseline_counters.get(key, 0)
-        for key, value in sorted(collector.counters.items())
-        if key.startswith("phase.")
-    }
-
-    full_seconds = _median(full_samples)
-    incremental_seconds = _median(incremental_samples)
-    return {
-        "edit": {
-            "production": index,
-            "position": position,
-            "replacement": replacement,
-        },
+    counters: "Dict[str, object]" = {
+        "edit.production": index,
+        "edit.position": position,
+        "edit.replacement": replacement,
         "dirty_states": dirty_states,
         "total_states": total_states,
+    }
+    for key, value in sorted(collector.counters.items()):
+        if key.startswith("phase."):
+            counters[key] = value - baseline_counters.get(key, 0)
+
+    full_seconds = statistics.median(full_samples)
+    incremental_seconds = statistics.median(incremental_samples)
+    return {
         "full_seconds": full_seconds,
         "incremental_seconds": incremental_seconds,
         "speedup": full_seconds / incremental_seconds
@@ -206,142 +202,11 @@ def measure_incremental(
     }
 
 
-def bench_snapshot(
-    named_grammars: "Sequence[Tuple[str, Grammar]]", repeats: int = 7
-) -> Dict:
-    """The machine-readable snapshot for every grammar that splices."""
-    grammars: "Dict[str, Dict]" = {}
-    for name, grammar in named_grammars:
-        entry = measure_incremental(grammar, repeats=repeats)
-        if entry is None:
-            entry = {"no_splice_edit": True}
-        grammars[name] = entry
-    return {"format": BASELINE_FORMAT, "grammars": grammars}
-
-
-def compare_baseline(current: Dict, baseline: Dict) -> "Tuple[List[List], List[str]]":
-    """``(rows, drift)`` — display rows plus counter/recipe drift.
-
-    Wall times and the derived speedup are context columns; drift is
-    declared only on the deterministic parts (the chosen edit, the dirty
-    region size and the ``phase.*`` counters), so the check is stable
-    across hardware.
-    """
-    rows: "List[List]" = []
-    drift: "List[str]" = []
-    base_grammars = baseline.get("grammars", {})
-    for name, entry in current.get("grammars", {}).items():
-        base = base_grammars.get(name)
-        if base is None:
-            drift.append(f"{name}: not present in baseline")
-            continue
-        if entry.get("no_splice_edit") or base.get("no_splice_edit"):
-            if entry.get("no_splice_edit") != base.get("no_splice_edit"):
-                drift.append(f"{name}: splice-edit availability changed")
-            continue
-        rows.append([
-            name,
-            base["speedup"],
-            entry["speedup"],
-            entry["dirty_states"],
-            entry["total_states"],
-        ])
-        for key in ("edit", "dirty_states", "total_states"):
-            if entry[key] != base[key]:
-                drift.append(f"{name}: {key} {base[key]!r} -> {entry[key]!r}")
-        for key, base_value in sorted(base.get("counters", {}).items()):
-            value = entry["counters"].get(key)
-            if value != base_value:
-                drift.append(f"{name}: counter {key} {base_value} -> {value}")
-    return rows, drift
-
-
-def main(argv: "Sequence[str] | None" = None) -> int:
-    """``python -m repro.bench.incremental`` — edit latency vs rebuild.
-
-    Default report prints one row per grammar.  ``--write-baseline``
-    captures ``BENCH_incremental.json``; ``--baseline`` diffs against it,
-    exiting 1 on deterministic drift or (with ``--min-speedup``) on a
-    speedup below the floor.
-    """
-    import argparse
-    import json
-
-    from .harness import _load_spec
-
-    parser = argparse.ArgumentParser(prog="repro.bench.incremental")
-    parser.add_argument("grammars", nargs="*",
-                        default=[f"corpus:{name}" for name in DEFAULT_GRAMMARS],
-                        help="grammar files or corpus:<name> specs "
-                             "(default: the larger corpus grammars)")
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--baseline", default="",
-                        help="compare against a snapshot JSON (exit 1 on "
-                             "counter/recipe drift)")
-    parser.add_argument("--write-baseline", default="",
-                        help="write a snapshot JSON instead of reporting")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail when any grammar's measured speedup "
-                             "falls below this floor (default: no floor)")
-    args = parser.parse_args(argv)
-
-    named = [_load_spec(spec) for spec in args.grammars]
-
-    if args.write_baseline:
-        snapshot = bench_snapshot(named, repeats=args.repeats)
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.write_baseline} ({len(snapshot['grammars'])} grammars)")
-        return 0
-
-    snapshot = bench_snapshot(named, repeats=args.repeats)
-    header = (f"{'grammar':20s} {'full ms':>10s} {'incr ms':>10s} "
-              f"{'speedup':>8s} {'dirty':>12s}")
-    print(header)
-    too_slow: "List[str]" = []
-    for name, entry in snapshot["grammars"].items():
-        if entry.get("no_splice_edit"):
-            print(f"{name:20s} (no splice-able edit found)")
-            continue
-        print(f"{name:20s} {entry['full_seconds'] * 1e3:10.3f} "
-              f"{entry['incremental_seconds'] * 1e3:10.3f} "
-              f"{entry['speedup']:7.1f}x "
-              f"{entry['dirty_states']:5d}/{entry['total_states']:<5d}")
-        fallback = entry["counters"].get("phase.fallback", 0)
-        reuse = entry["counters"].get("phase.reuse", 0)
-        if fallback or not reuse:
-            too_slow.append(
-                f"{name}: phase.reuse={reuse} phase.fallback={fallback}"
-            )
-        if args.min_speedup and entry["speedup"] < args.min_speedup:
-            too_slow.append(
-                f"{name}: speedup {entry['speedup']:.1f}x below the "
-                f"{args.min_speedup:.1f}x floor"
-            )
-
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        rows, drift = compare_baseline(snapshot, baseline)
-        for name, base_speedup, speedup, dirty, total in rows:
-            print(f"{name}: baseline {base_speedup:.1f}x, now {speedup:.1f}x "
-                  f"({dirty}/{total} states respliced)")
-        if drift:
-            print("incremental-benchmark drift (splice machinery changed?):")
-            for message in drift:
-                print(f"  {message}")
-            return 1
-        print("splice recipes and phase counters match the baseline")
-
-    if too_slow:
-        for message in too_slow:
-            print(f"FAIL {message}")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+def bench_snapshot(names: "Sequence[str]" = DEFAULT_GRAMMARS) -> Dict:
+    """The ``incremental`` scenario: one entry per grammar; a grammar
+    with no splice-able edit is skipped."""
+    entries: "Dict[str, Dict]" = {}
+    for name, grammar in map(load_named, names):
+        entry = measure_incremental(grammar)
+        entries[name] = entry or {"skipped": "no splice-able edit found"}
+    return entries

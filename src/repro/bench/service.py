@@ -1,11 +1,12 @@
-"""Service bench: request latency over a live server, drift-checked.
+"""The ``service`` bench scenario: request latency over a live server.
 
 Boots a real :class:`~repro.service.ServiceThread` on an ephemeral port
 (fresh on-disk table cache), then, per grammar: one ``/compile`` to warm
-the artifact store, then N ``/parse`` requests whose tables come off the
-hot LRU.  Reports p50/p95 request latency — **informational**, they
-depend on the runner — and a set of machine-independent counters that
-are pure functions of the grammar and the serving contract:
+the artifact store, then ``PARSE_REQUESTS`` ``/parse`` requests whose
+tables come off the hot LRU.  Reports p50/p95 request latency —
+**informational**, they depend on the runner — and a set of
+machine-independent counters that are pure functions of the grammar
+and the serving contract:
 
 - ``states``, ``compile_bytes``, ``parse_bytes`` — the served answers'
   shape (bytes are exact: responses are canonical JSON);
@@ -14,16 +15,13 @@ are pure functions of the grammar and the serving contract:
   included since JSON format 4) and ``hot_hits_delta`` (one per
   cached-table parse) — the cache flow a served grammar must follow.
 
-``--baseline`` fails on any counter drift, exactly like the other bench
-harnesses::
+Drift in them means the serving contract changed::
 
-    python -m repro.bench.service --write-baseline BENCH_service.json
-    python -m repro.bench.service --baseline BENCH_service.json
+    repro bench service --baseline BENCH_service.json
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 import time
@@ -32,12 +30,13 @@ from typing import Dict, List, Sequence, Tuple
 from ..analysis.derive import SentenceGenerator
 from ..grammars import corpus
 
-SERVICE_BASELINE_FORMAT = 1
-
 #: Default grammars: a spread of table sizes plus a conflicted one
 #: (dangling_else), served by the GLR engine off its cached
 #: conflict-carrying artifact.
-DEFAULT_GRAMMARS = ["expr", "json", "dangling_else", "mini_pascal_det", "toy_java"]
+DEFAULT_GRAMMARS = ("expr", "json", "dangling_else", "mini_pascal_det", "toy_java")
+
+#: Timed ``/parse`` requests per grammar.
+PARSE_REQUESTS = 16
 
 
 def _percentile(samples: "List[float]", fraction: float) -> float:
@@ -61,10 +60,9 @@ def grammar_tokens(name: str) -> "List[str]":
     return ["id"]
 
 
-def service_snapshot(
-    names: "Sequence[str]", parse_requests: int = 16
-) -> Dict:
-    """Boot a service, drive the compile-then-parse recipe, snapshot."""
+def service_snapshot(names: "Sequence[str]" = DEFAULT_GRAMMARS) -> Dict:
+    """The ``service`` scenario: boot a service, drive the
+    compile-then-parse recipe, one entry per grammar."""
     from ..service import Client, ServiceThread
 
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-service-")
@@ -91,7 +89,7 @@ def service_snapshot(
                 latencies: "List[float]" = []
                 parse_bytes = 0
                 parse_valid = None
-                for _ in range(parse_requests):
+                for _ in range(PARSE_REQUESTS):
                     response, seconds = _timed(
                         client, "POST", "/parse",
                         {"corpus": name, "input": tokens, "engine": engine},
@@ -107,7 +105,7 @@ def service_snapshot(
                         "states": compiled["states"],
                         "compile_bytes": len(compile_response.body),
                         "parse_bytes": parse_bytes,
-                        "parse_requests": parse_requests,
+                        "parse_requests": PARSE_REQUESTS,
                         "parse_valid": int(bool(parse_valid)),
                         "stores_delta": after["stores"] - before["stores"],
                         "hot_hits_delta": after["hot_hits"] - before["hot_hits"],
@@ -120,92 +118,4 @@ def service_snapshot(
                 }
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    return {"format": SERVICE_BASELINE_FORMAT, "grammars": grammars}
-
-
-def compare_service_baseline(
-    current: Dict, baseline: Dict
-) -> "Tuple[List[List], List[str]]":
-    """``(rows, drift)``: informational latency rows, counter drift."""
-    rows: "List[List]" = []
-    drift: "List[str]" = []
-    base_grammars = baseline.get("grammars", {})
-    if current.get("format") != baseline.get("format"):
-        drift.append(
-            f"baseline format {baseline.get('format')!r} != "
-            f"current {current.get('format')!r}"
-        )
-    for name, entry in current.get("grammars", {}).items():
-        base = base_grammars.get(name)
-        if base is None:
-            drift.append(f"{name}: not present in baseline")
-            continue
-        for key, base_value in sorted(base.get("counters", {}).items()):
-            value = entry["counters"].get(key)
-            if value != base_value:
-                drift.append(f"{name}: counter {key} {base_value} -> {value}")
-        base_latency = base.get("latency_ms", {})
-        for metric, value in sorted(entry.get("latency_ms", {}).items()):
-            rows.append([name, metric, base_latency.get(metric, 0.0), value])
-    for name in base_grammars:
-        if name not in current.get("grammars", {}):
-            drift.append(f"{name}: in baseline but not measured")
-    return rows, drift
-
-
-def main(argv: "Sequence[str] | None" = None) -> int:
-    """``python -m repro.bench.service`` — see the module docstring."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.bench.service")
-    parser.add_argument("grammars", nargs="*", default=DEFAULT_GRAMMARS,
-                        help="corpus grammar names "
-                             f"(default: {' '.join(DEFAULT_GRAMMARS)})")
-    parser.add_argument("--requests", type=int, default=16, metavar="N",
-                        help="parse requests per grammar (default 16)")
-    parser.add_argument("--baseline", default="",
-                        help="compare against a snapshot JSON "
-                             "(exit 1 on counter drift)")
-    parser.add_argument("--write-baseline", default="",
-                        help="write a snapshot JSON instead of reporting")
-    args = parser.parse_args(argv)
-
-    snapshot = service_snapshot(args.grammars, parse_requests=args.requests)
-
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.write_baseline} ({len(snapshot['grammars'])} grammars)")
-        return 0
-
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        rows, drift = compare_service_baseline(snapshot, baseline)
-        print(f"{'grammar':16s} {'metric':14s} {'baseline ms':>12s} {'now ms':>12s}")
-        for name, metric, base_value, value in rows:
-            print(f"{name:16s} {metric:14s} {base_value:12,.3f} {value:12,.3f}")
-        if drift:
-            print("service-counter drift (serving contract changed?):")
-            for message in drift:
-                print(f"  {message}")
-            return 1
-        print("service counters match the baseline")
-        return 0
-
-    for name, entry in snapshot["grammars"].items():
-        latency = entry["latency_ms"]
-        counters = entry["counters"]
-        print(
-            f"{name:16s} states={counters['states']:<5d} "
-            f"compile={latency['compile_cold']:8.3f}ms "
-            f"parse p50={latency['parse_p50']:7.3f}ms "
-            f"p95={latency['parse_p95']:7.3f}ms "
-            f"(hot hits {counters['hot_hits_delta']})"
-        )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    return grammars

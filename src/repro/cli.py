@@ -21,6 +21,10 @@ Commands:
     batch      Compile every grammar file in a directory through the
                (optionally cached) table pipeline, across --workers N
                processes (takes a directory, no grammar file).
+    bench      Run one bench scenario and diff its exact counters
+               against a committed baseline: ``repro bench <scenario>
+               [names...] [--baseline F | --write-baseline F]`` (see
+               repro.bench.runner; takes no grammar file).
 
 Exit codes follow one contract across every command: ``0`` success /
 clean, ``1`` a domain failure (conflicted table, invalid input, oracle
@@ -624,33 +628,6 @@ def _cmd_serve(_, args) -> int:
     )
 
 
-#: `repro bench <name>` — name -> module under repro.bench with a main().
-_BENCH_MODULES = {
-    "core": "harness",
-    "artifacts": "artifacts",
-    "incremental": "incremental",
-    "service": "service",
-    "hotloop": "hotloop",
-    "scaleout": "scaleout",
-    "glr": "glr",
-}
-
-
-def _cmd_bench(_, args) -> int:
-    """Run a bench harness; everything after the name passes through
-    (e.g. `repro bench scaleout --workers 4 --baseline BENCH_scaleout.json`)."""
-    import importlib
-
-    module = importlib.import_module(
-        f".bench.{_BENCH_MODULES[args.which]}", __package__
-    )
-    passthrough = list(args.bench_args)
-    # argparse.REMAINDER keeps a leading "--" separator; drop it.
-    if passthrough and passthrough[0] == "--":
-        passthrough = passthrough[1:]
-    return module.main(passthrough)
-
-
 def _report_budget_exceeded(error: BudgetExceeded) -> int:
     """Print the degradation diagnostics for a blown --timeout/--max-states."""
     print(f"budget exceeded: {error.describe()}", file=sys.stderr)
@@ -851,15 +828,12 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                                 "eviction (0 disables; default 3600)")
     serve_cmd.set_defaults(fn=_cmd_serve)
 
-    bench_cmd = sub.add_parser(
-        "bench", help="run a bench harness (drift-checkable baselines)"
+    # `repro bench ...` is handed whole to the bench runner below; this
+    # entry only lists it in `repro --help`.
+    sub.add_parser(
+        "bench", help="run a bench scenario against its committed baseline "
+                      "(`repro bench --help`)"
     )
-    bench_cmd.add_argument("which", choices=sorted(_BENCH_MODULES),
-                           help="which harness to run")
-    bench_cmd.add_argument("bench_args", nargs=argparse.REMAINDER,
-                           help="arguments passed through to the harness "
-                                "(see `python -m repro.bench.<name> --help`)")
-    bench_cmd.set_defaults(fn=_cmd_bench)
 
     fuzz_cmd = sub.add_parser(
         "fuzz", help="differential fuzzing of the equivalence theorem"
@@ -919,6 +893,10 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
+    if argv[:1] == ["bench"]:
+        from .bench.runner import main as bench_main
+
+        return bench_main(argv[1:])
     # Default command: `python -m repro <grammar> [flags]` runs `pipeline`.
     if argv and not argv[0].startswith("-") and argv[0] not in sub.choices:
         argv.insert(0, "pipeline")

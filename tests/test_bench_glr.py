@@ -7,30 +7,27 @@ import json
 
 import pytest
 
-from repro.bench.glr import (
-    compare_glr_baseline,
-    glr_snapshot,
-    main as glr_main,
-)
+from repro.bench.glr import glr_snapshot
+from repro.bench.runner import FORMAT, compare, main
 
 
 @pytest.fixture(scope="module")
 def glr_snap():
-    return glr_snapshot(["expr", "dangling_else"], repeats=1)
+    return {"format": FORMAT, "entries": glr_snapshot(["expr", "dangling_else"])}
 
 
 class TestGlrSnapshot:
     def test_shape_and_counters(self, glr_snap):
-        assert set(glr_snap["grammars"]) == {"expr", "dangling_else"}
-        expr = glr_snap["grammars"]["expr"]["counters"]
+        assert set(glr_snap["entries"]) == {"expr", "dangling_else"}
+        expr = glr_snap["entries"]["expr"]["counters"]
         assert expr["unresolved_conflicts"] == 0
         assert expr["workload_tokens"] > 0
         assert expr["shifts"] == expr["workload_tokens"]
         assert expr["gss_nodes"] > 0
         assert expr["reductions"] >= expr["sppf_families"] > 0
-        conflicted = glr_snap["grammars"]["dangling_else"]["counters"]
+        conflicted = glr_snap["entries"]["dangling_else"]["counters"]
         assert conflicted["unresolved_conflicts"] == 1
-        for entry in glr_snap["grammars"].values():
+        for entry in glr_snap["entries"].values():
             throughput = entry["throughput"]
             assert throughput["lalr_tokens_per_sec"] > 0
             assert throughput["glr_tokens_per_sec"] > 0
@@ -38,48 +35,43 @@ class TestGlrSnapshot:
             assert throughput["glr_overhead"] > 0
 
     def test_counters_are_deterministic(self, glr_snap):
-        again = glr_snapshot(["expr", "dangling_else"], repeats=1)
+        again = glr_snapshot(["expr", "dangling_else"])
         for name in ("expr", "dangling_else"):
             assert (
-                again["grammars"][name]["counters"]
-                == glr_snap["grammars"][name]["counters"]
+                again[name]["counters"]
+                == glr_snap["entries"][name]["counters"]
             )
 
     def test_compare_identical_has_no_drift(self, glr_snap):
-        rows, drift = compare_glr_baseline(glr_snap, glr_snap)
+        rows, drift = compare(glr_snap, glr_snap)
         assert drift == []
         assert rows
 
     def test_compare_flags_counter_drift(self, glr_snap):
         mutated = copy.deepcopy(glr_snap)
-        mutated["grammars"]["expr"]["counters"]["gss_edges"] += 1
-        _, drift = compare_glr_baseline(mutated, glr_snap)
+        mutated["entries"]["expr"]["counters"]["gss_edges"] += 1
+        _, drift = compare(mutated, glr_snap)
         assert any("gss_edges" in message for message in drift)
 
     def test_compare_flags_format_mismatch(self, glr_snap):
         mutated = copy.deepcopy(glr_snap)
         mutated["format"] = 99
-        _, drift = compare_glr_baseline(mutated, glr_snap)
+        _, drift = compare(mutated, glr_snap)
         assert any("format" in message for message in drift)
 
     def test_write_then_compare_round_trip(self, tmp_path, capsys):
         baseline = tmp_path / "glr.json"
-        assert glr_main(
-            ["expr", "--repeats", "1", "--write-baseline", str(baseline)]
-        ) == 0
-        assert glr_main(
-            ["expr", "--repeats", "1", "--baseline", str(baseline)]
-        ) == 0
+        assert main(["glr", "expr", "--write-baseline", str(baseline)]) == 0
+        assert main(["glr", "expr", "--baseline", str(baseline)]) == 0
         assert "match the baseline" in capsys.readouterr().out
 
     def test_compare_exits_nonzero_on_drift(self, tmp_path, capsys, glr_snap):
         mutated = copy.deepcopy(glr_snap)
-        mutated["grammars"]["expr"]["counters"]["workload_tokens"] = 999
+        mutated["entries"]["expr"]["counters"]["workload_tokens"] = 999
         baseline = tmp_path / "drifted.json"
         baseline.write_text(json.dumps(mutated))
-        assert glr_main(
-            ["expr", "dangling_else", "--repeats", "1",
-             "--baseline", str(baseline)]
+        assert main(
+            ["glr", "expr", "dangling_else", "--baseline", str(baseline)]
         ) == 1
         assert "drift" in capsys.readouterr().out
 
@@ -93,6 +85,6 @@ class TestCommittedBaseline:
 
         path = Path(__file__).resolve().parent.parent / "BENCH_glr.json"
         baseline = json.loads(path.read_text(encoding="utf-8"))
-        current = glr_snapshot(list(baseline["grammars"]), repeats=1)
-        _, drift = compare_glr_baseline(current, baseline)
+        current = {"format": FORMAT, "entries": glr_snapshot()}
+        _, drift = compare(current, baseline)
         assert drift == []

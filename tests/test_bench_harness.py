@@ -98,76 +98,72 @@ class TestFormatting:
 
 
 class TestBaselineSnapshot:
-    def make_snapshot(self, repeats=1):
+    def make_snapshot(self):
         from repro.bench.harness import bench_snapshot
+        from repro.bench.runner import FORMAT
 
-        return bench_snapshot([("expr", corpus.load("expr"))], repeats=repeats)
+        return {"format": FORMAT, "entries": bench_snapshot(["expr"])}
 
     def test_snapshot_shape(self):
         snapshot = self.make_snapshot()
-        assert snapshot["format"] == 1
-        entry = snapshot["grammars"]["expr"]
+        entry = snapshot["entries"]["expr"]
         assert entry["lookahead_seconds"] >= 0
         assert {"unions", "edges", "nonterminal_transitions"} <= set(entry["counters"])
+        assert len(entry["counters"]["fingerprint"]) == 64
         # Per-phase instrument span totals of one pipeline run.
         assert "lalr.digraph.reads" in entry["phases"]
         assert "table.fill" in entry["phases"]
 
     def test_compare_identical_has_no_drift(self):
-        from repro.bench.harness import compare_baseline
+        from repro.bench.runner import compare
 
         snapshot = self.make_snapshot()
-        rows, drift = compare_baseline(snapshot, snapshot)
+        rows, drift = compare(snapshot, snapshot)
         assert drift == []
-        assert rows[0][:2] == ["expr", "lookahead"]
-        assert rows[0][4] == 1.0  # same timings -> speedup exactly 1
-        # One row per shared phase, all with speedup exactly 1.
+        assert rows[0][:2] == ["expr", "lookahead_seconds"]
+        # One row per phase, each unchanged.
         phases = {row[1] for row in rows[1:]}
-        assert "lalr.digraph.reads" in phases
-        assert all(row[4] == 1.0 for row in rows)
+        assert "phases.lalr.digraph.reads" in phases
+        assert all(row[2] == row[3] for row in rows)
 
     def test_compare_flags_counter_drift(self):
         import copy
 
-        from repro.bench.harness import compare_baseline
+        from repro.bench.runner import compare
 
         snapshot = self.make_snapshot()
         tampered = copy.deepcopy(snapshot)
-        tampered["grammars"]["expr"]["counters"]["unions"] += 1
-        _, drift = compare_baseline(snapshot, tampered)
-        assert any("unions" in message for message in drift)
+        tampered["entries"]["expr"]["counters"]["unions"] += 1
+        _, drift = compare(snapshot, tampered)
+        assert drift == ["expr: counter unions 29 -> 28"]
 
     def test_compare_flags_missing_grammar(self):
-        from repro.bench.harness import compare_baseline
+        from repro.bench.runner import FORMAT, compare
 
         snapshot = self.make_snapshot()
-        _, drift = compare_baseline(snapshot, {"grammars": {}})
-        assert drift == ["expr: not present in baseline"]
+        _, drift = compare(snapshot, {"format": FORMAT, "entries": {}})
+        assert drift == ["expr: measured but not in the baseline"]
 
 
 class TestBaselineCli:
     def test_write_then_compare_round_trip(self, tmp_path, capsys):
-        from repro.bench.harness import main
+        from repro.bench.runner import main
 
         path = str(tmp_path / "baseline.json")
-        assert main(["corpus:expr", "--repeats", "1",
-                     "--write-baseline", path]) == 0
-        assert main(["corpus:expr", "--repeats", "1",
-                     "--baseline", path]) == 0
+        assert main(["core", "corpus:expr", "--write-baseline", path]) == 0
+        assert main(["core", "corpus:expr", "--baseline", path]) == 0
         out = capsys.readouterr().out
-        assert "operation counters match the baseline" in out
+        assert "core: counters match the baseline" in out
 
     def test_compare_exits_nonzero_on_drift(self, tmp_path, capsys):
         import json
 
-        from repro.bench.harness import main
+        from repro.bench.runner import main
 
         path = tmp_path / "baseline.json"
-        assert main(["corpus:expr", "--repeats", "1",
-                     "--write-baseline", str(path)]) == 0
+        assert main(["core", "expr", "--write-baseline", str(path)]) == 0
         baseline = json.loads(path.read_text(encoding="utf-8"))
-        baseline["grammars"]["expr"]["counters"]["unions"] += 5
+        baseline["entries"]["expr"]["counters"]["unions"] += 5
         path.write_text(json.dumps(baseline), encoding="utf-8")
-        assert main(["corpus:expr", "--repeats", "1",
-                     "--baseline", str(path)]) == 1
+        assert main(["core", "expr", "--baseline", str(path)]) == 1
         assert "drift" in capsys.readouterr().out

@@ -14,11 +14,10 @@ import pytest
 
 from repro.bench.incremental import (
     bench_snapshot,
-    compare_baseline,
     find_splice_edit,
-    main,
     measure_incremental,
 )
+from repro.bench.runner import FORMAT, compare, main
 from repro.grammar.delta import replace_rhs
 from repro.grammars import corpus
 from repro.pipeline import AnalysisSession
@@ -55,23 +54,22 @@ class TestFindSpliceEdit:
 
 class TestMeasureIncremental:
     def test_snapshot_row_shape(self, expr):
-        entry = measure_incremental(expr, repeats=1)
+        entry = measure_incremental(expr)
         assert entry is not None
-        assert set(entry) >= {
-            "edit",
-            "dirty_states",
-            "total_states",
+        assert set(entry) == {
             "full_seconds",
             "incremental_seconds",
             "speedup",
             "counters",
         }
-        assert 0 < entry["dirty_states"] < entry["total_states"]
+        counters = entry["counters"]
+        assert {"edit.production", "edit.position", "edit.replacement"} <= set(counters)
+        assert 0 < counters["dirty_states"] < counters["total_states"]
         assert entry["full_seconds"] > 0
         assert entry["incremental_seconds"] > 0
 
     def test_counters_show_reuse_and_no_fallback(self, expr):
-        entry = measure_incremental(expr, repeats=1)
+        entry = measure_incremental(expr)
         assert entry["counters"].get("phase.reuse", 0) > 0
         assert entry["counters"].get("phase.fallback", 0) == 0
         assert entry["counters"].get("phase.recompute", 0) == 0
@@ -80,52 +78,45 @@ class TestMeasureIncremental:
 class TestCompareBaseline:
     @pytest.fixture(scope="class")
     def snapshot(self):
-        return bench_snapshot([("expr", corpus.load("expr"))], repeats=1)
+        return {"format": FORMAT, "entries": bench_snapshot(["expr"])}
 
     def test_matching_snapshots_have_no_drift(self, snapshot):
-        rows, drift = compare_baseline(snapshot, copy.deepcopy(snapshot))
+        rows, drift = compare(snapshot, copy.deepcopy(snapshot))
         assert drift == []
-        assert [row[0] for row in rows] == ["expr"]
+        assert {row[0] for row in rows} == {"expr"}
 
     def test_counter_drift_is_reported(self, snapshot):
         baseline = copy.deepcopy(snapshot)
-        baseline["grammars"]["expr"]["counters"]["phase.reuse"] += 1
-        _, drift = compare_baseline(snapshot, baseline)
+        baseline["entries"]["expr"]["counters"]["phase.reuse"] += 1
+        _, drift = compare(snapshot, baseline)
         assert any("phase.reuse" in message for message in drift)
 
     def test_edit_recipe_drift_is_reported(self, snapshot):
         baseline = copy.deepcopy(snapshot)
-        baseline["grammars"]["expr"]["edit"]["position"] += 1
-        _, drift = compare_baseline(snapshot, baseline)
-        assert any("edit" in message for message in drift)
+        baseline["entries"]["expr"]["counters"]["edit.position"] += 1
+        _, drift = compare(snapshot, baseline)
+        assert any("edit.position" in message for message in drift)
 
     def test_missing_grammar_is_reported(self, snapshot):
-        _, drift = compare_baseline(snapshot, {"grammars": {}})
-        assert drift == ["expr: not present in baseline"]
+        _, drift = compare(snapshot, {"format": FORMAT, "entries": {}})
+        assert drift == ["expr: measured but not in the baseline"]
 
     def test_speedup_changes_are_not_drift(self, snapshot):
         # Wall-clock speedups vary across machines; only the
         # deterministic columns may fail the comparison.
         baseline = copy.deepcopy(snapshot)
-        baseline["grammars"]["expr"]["speedup"] *= 10
-        _, drift = compare_baseline(snapshot, baseline)
+        baseline["entries"]["expr"]["speedup"] *= 10
+        _, drift = compare(snapshot, baseline)
         assert drift == []
 
 
 class TestMain:
     def test_baseline_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
-        assert main(["corpus:expr", "--repeats", "1",
+        assert main(["incremental", "expr",
                      "--write-baseline", str(path)]) == 0
         snapshot = json.loads(path.read_text())
-        assert "expr" in snapshot["grammars"]
-        assert main(["corpus:expr", "--repeats", "1",
-                     "--baseline", str(path)]) == 0
+        assert "expr" in snapshot["entries"]
+        assert main(["incremental", "expr", "--baseline", str(path)]) == 0
         out = capsys.readouterr().out
         assert "match the baseline" in out
-
-    def test_min_speedup_floor_fails(self, capsys):
-        # No splice can be a million times faster than a rebuild.
-        assert main(["corpus:expr", "--repeats", "1",
-                     "--min-speedup", "1e6"]) == 1
-        assert "below the" in capsys.readouterr().out

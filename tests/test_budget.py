@@ -254,22 +254,30 @@ class TestCliBudget:
 
 
 class TestBenchBudget:
-    def test_pathological_grammar_reports_not_hangs(self, tmp_path):
-        from repro.bench.harness import main as bench_main
+    """``repro.bench.harness.BUDGET_SECONDS`` gives each grammar of the
+    ``core`` scenario a deadline; a grammar that blows it is reported as
+    a skipped entry instead of hanging the sweep."""
 
+    def test_pathological_grammar_reports_not_hangs(self, monkeypatch):
+        from repro.bench import harness
+        from repro.bench.runner import main as bench_main
+
+        monkeypatch.setattr(harness, "BUDGET_SECONDS", 1e-9)
         out = io.StringIO()
         with redirect_stdout(out):
-            code = bench_main(["corpus:expr", "--repeats", "1",
-                               "--budget", "1e-9"])
+            code = bench_main(["core", "expr"])
         assert code == 0
         assert "budget exceeded" in out.getvalue()
 
-    def test_budget_marker_rows_surface_as_drift(self):
-        from repro.bench.harness import compare_baseline
+    def test_budget_marker_rows_surface_as_drift(self, monkeypatch):
+        from repro.bench import harness
+        from repro.bench.runner import FORMAT, compare
 
-        baseline = {"grammars": {"g": {"lookahead_seconds": 0.1,
-                                       "phases": {}, "counters": {}}}}
-        current = {"grammars": {"g": {"budget_exceeded": "blew the deadline"}}}
-        rows, drift = compare_baseline(current, baseline)
+        baseline = {"format": FORMAT, "entries": harness.bench_snapshot(["expr"])}
+        monkeypatch.setattr(harness, "BUDGET_SECONDS", 1e-9)
+        current = {"format": FORMAT, "entries": harness.bench_snapshot(["expr"])}
+        skipped = current["entries"]["expr"]["skipped"]
+        assert skipped.startswith("budget exceeded")
+        rows, drift = compare(current, baseline)
         assert rows == []
-        assert drift == ["g: blew the deadline"]
+        assert drift == [f"expr: skipped None -> {skipped!r}"]

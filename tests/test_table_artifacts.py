@@ -9,12 +9,8 @@ identical parses, error positions, messages and expected sets.
 import pytest
 
 from repro.analysis import SentenceGenerator
-from repro.bench.artifacts import (
-    ARTIFACT_BASELINE_FORMAT,
-    artifacts_snapshot,
-    compare_artifacts_baseline,
-    snapshot_entry,
-)
+from repro.bench.artifacts import artifacts_snapshot, snapshot_entry
+from repro.bench.runner import FORMAT, compare
 from repro.grammars import corpus
 from repro.parser import ParseError, Parser
 from repro.tables import build_lalr_table
@@ -99,13 +95,10 @@ class TestEofSpelling:
 class TestArtifactsBench:
     @pytest.fixture(scope="class")
     def snapshot(self):
-        return artifacts_snapshot(
-            [("expr", corpus.load("expr"))], repeats=1
-        )
+        return {"format": FORMAT, "entries": artifacts_snapshot(["expr"])}
 
     def test_snapshot_shape(self, snapshot):
-        assert snapshot["format"] == ARTIFACT_BASELINE_FORMAT
-        entry = snapshot["grammars"]["expr"]
+        entry = snapshot["entries"]["expr"]
         assert entry["tokens_per_sec"] > 0
         assert set(entry["cold_load_seconds"]) == {"json", "bin"}
         counters = entry["counters"]
@@ -113,7 +106,7 @@ class TestArtifactsBench:
         assert counters["json_bytes"] > 0 and counters["bin_bytes"] > 0
 
     def test_self_comparison_is_clean(self, snapshot):
-        rows, drift = compare_artifacts_baseline(snapshot, snapshot)
+        rows, drift = compare(snapshot, snapshot)
         assert drift == []
         assert rows
 
@@ -121,23 +114,23 @@ class TestArtifactsBench:
         import copy
 
         mutated = copy.deepcopy(snapshot)
-        mutated["grammars"]["expr"]["counters"]["comb_slots"] += 1
-        _, drift = compare_artifacts_baseline(mutated, snapshot)
+        mutated["entries"]["expr"]["counters"]["comb_slots"] += 1
+        _, drift = compare(mutated, snapshot)
         assert any("comb_slots" in message for message in drift)
 
     def test_missing_grammar_is_drift(self, snapshot):
         import copy
 
         current = copy.deepcopy(snapshot)
-        current["grammars"]["mystery"] = {"counters": {}}
-        _, drift = compare_artifacts_baseline(current, snapshot)
+        current["entries"]["mystery"] = {"counters": {}}
+        _, drift = compare(current, snapshot)
         assert any("mystery" in message for message in drift)
 
     def test_conflicted_grammar_skips_cleanly(self):
-        entry = snapshot_entry(corpus.load("dangling_else"), repeats=1)
+        entry = snapshot_entry(corpus.load("dangling_else"))
         assert "skipped" in entry
-        snapshot = {"format": 1, "grammars": {"dangling_else": entry}}
-        _, drift = compare_artifacts_baseline(snapshot, snapshot)
+        snapshot = {"format": FORMAT, "entries": {"dangling_else": entry}}
+        _, drift = compare(snapshot, snapshot)
         assert drift == []
 
     def test_committed_baseline_matches_current_counters(self):
@@ -150,9 +143,6 @@ class TestArtifactsBench:
                             "BENCH_table_artifacts.json")
         with open(path, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
-        names = list(baseline["grammars"])
-        current = artifacts_snapshot(
-            [(name, corpus.load(name)) for name in names], repeats=1
-        )
-        _, drift = compare_artifacts_baseline(current, baseline)
+        current = {"format": FORMAT, "entries": artifacts_snapshot()}
+        _, drift = compare(current, baseline)
         assert drift == []
