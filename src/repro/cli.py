@@ -52,7 +52,6 @@ Corpus grammars can be used anywhere a file is expected via
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import List, Optional
 
@@ -63,22 +62,14 @@ from .grammar import Grammar, load_grammar_file
 from .grammars import corpus
 from .parser import ConflictedTableError, ParseError, Parser
 from .tables import (
+    BUILDERS,
     TableCache,
-    build_clr_table,
     build_lalr_table,
-    build_lr0_table,
-    build_slr_table,
+    build_table,
     classify,
     default_cache_dir,
     generate_parser_module,
 )
-
-_BUILDERS = {
-    "lr0": build_lr0_table,
-    "slr1": build_slr_table,
-    "lalr1": build_lalr_table,
-    "clr1": build_clr_table,
-}
 
 
 def _load(spec: str) -> Grammar:
@@ -98,16 +89,10 @@ def _budget_from(args) -> "Optional[Budget]":
 
 def _table_for(grammar: Grammar, args, budget: "Optional[Budget]" = None) -> "tuple":
     """(table, cache) for a table-building command, honouring --cache."""
-    method = getattr(args, "method", "lalr1")
-    builder = _BUILDERS[method]
-    if budget is not None:
-        builder = functools.partial(builder, budget=budget)
-    augmented = grammar.augmented()
     cache_dir = getattr(args, "cache", None)
-    if cache_dir:
-        cache = TableCache(cache_dir, backend=getattr(args, "format", "json"))
-        return cache.load_or_build(augmented, method, builder), cache
-    return builder(augmented), None
+    cache = TableCache(cache_dir, backend=getattr(args, "format", "json")) if cache_dir else None
+    _, table = build_table(grammar, getattr(args, "method", "lalr1"), cache, budget)
+    return table, cache
 
 
 def _cmd_pipeline(grammar: Grammar, args) -> int:
@@ -237,7 +222,7 @@ def _cmd_conflicts(grammar: Grammar, args) -> int:
     budget = _budget_from(args)
     augmented = grammar.augmented()
     automaton = LR0Automaton(augmented, budget=budget)
-    table = _BUILDERS[args.method](augmented, budget=budget)
+    table = BUILDERS[args.method](augmented, budget=budget)
     if not table.conflicts:
         print("no conflicts")
         return 0
@@ -535,14 +520,8 @@ def _batch_worker(task: "tuple") -> dict:
 
     try:
         grammar = load_grammar_file(path)
-        builder = _BUILDERS[method]
-        augmented = grammar.augmented()
-        if cache_dir:
-            table = TableCache(cache_dir, backend=backend).load_or_build(
-                augmented, method, builder
-            )
-        else:
-            table = builder(augmented)
+        cache = TableCache(cache_dir, backend=backend) if cache_dir else None
+        _, table = build_table(grammar, method, cache)
     except (GrammarError, OSError, ValueError) as error:
         return {"path": path, "status": "error", "detail": str(error)}
     except Exception as error:  # an unexpected blow-up is one ERROR row,
@@ -687,7 +666,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         return command
 
     pipeline_cmd = add("pipeline", _cmd_pipeline, cache=True)
-    pipeline_cmd.add_argument("--method", choices=_BUILDERS, default="lalr1")
+    pipeline_cmd.add_argument("--method", choices=BUILDERS, default="lalr1")
     pipeline_cmd.add_argument("--input", default="",
                               help="whitespace-separated terminals to parse")
 
@@ -698,7 +677,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     add("la", _cmd_la)
 
     table_cmd = add("table", _cmd_table, cache=True)
-    table_cmd.add_argument("--method", choices=_BUILDERS, default="lalr1")
+    table_cmd.add_argument("--method", choices=BUILDERS, default="lalr1")
     table_cmd.add_argument("--print-states", type=int, default=0, metavar="N",
                            help="print at most N states of the table "
                                 "(0 = all; --max-states is the build cap)")
@@ -716,14 +695,14 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     states_cmd.add_argument("--kernel", action="store_true")
 
     conflicts_cmd = add("conflicts", _cmd_conflicts)
-    conflicts_cmd.add_argument("--method", choices=_BUILDERS, default="lalr1")
+    conflicts_cmd.add_argument("--method", choices=BUILDERS, default="lalr1")
     conflicts_cmd.add_argument("--explain", action="store_true",
                                help="print an example input reaching each conflict")
 
     parse_cmd = add("parse", _cmd_parse, cache=True)
     parse_cmd.add_argument("--input", required=True,
                            help="whitespace-separated terminal names")
-    parse_cmd.add_argument("--method", choices=_BUILDERS, default="lalr1")
+    parse_cmd.add_argument("--method", choices=BUILDERS, default="lalr1")
     parse_cmd.add_argument("--engine", choices=["lr", "glr"], default="lr",
                            help="lr: deterministic engine (refuses conflicted "
                                 "tables); glr: generalized engine exploring "
@@ -733,7 +712,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     add("stats", _cmd_stats)
 
     generate_cmd = add("generate", _cmd_generate, cache=True)
-    generate_cmd.add_argument("--method", choices=_BUILDERS, default="lalr1")
+    generate_cmd.add_argument("--method", choices=BUILDERS, default="lalr1")
     generate_cmd.add_argument("--output", "-o", default="",
                               help="write to file instead of stdout")
     generate_cmd.add_argument("--style", choices=["dict", "dense", "displace"],
@@ -778,7 +757,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     batch_cmd.add_argument("--pattern", default="", metavar="GLOB",
                            help="file glob within the directory "
                                 "(default: *.y and *.cfg)")
-    batch_cmd.add_argument("--method", choices=_BUILDERS, default="lalr1")
+    batch_cmd.add_argument("--method", choices=BUILDERS, default="lalr1")
     batch_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                            help="compile across N worker processes "
                                 "(default 1)")
@@ -812,8 +791,8 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                            help="cache artifact format (JSON or versioned "
                                 "binary)")
     serve_cmd.add_argument("--hot", type=int, default=32, metavar="N",
-                           help="in-memory hot-table LRU capacity "
-                                "(default 32)")
+                           help="in-memory hot-table LRU capacity, also the "
+                                "grammar-handle memo's (default 32)")
     serve_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                            help="process-pool workers for request execution "
                                 "(1 = in-process; >1 forks N workers sharing "

@@ -14,6 +14,10 @@ GIL serializes onto one core.  :class:`WorkerPool` moves that work into
   ``ceil(K/N)``/``floor(K/N)`` per worker regardless of timing — the
   multi-worker suite asserts *every* worker is counted, not just that
   the total adds up.
+- **One executor.**  A worker runs each request through
+  :func:`repro.service.app.execute`, the function the in-process tier
+  calls, with its own :class:`~repro.service.app.GrammarHandles` memo,
+  so both tiers validate and answer a request the same way.
 - **Counter fold-back.**  Workers run each request under
   ``instrument.profile()`` and ship the counters home with the result;
   a dispatcher thread folds them into the parent's
@@ -67,43 +71,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _execute(kind: str, payload: dict, headers: "Dict[str, str]", cache):
-    """One request, executed with the same validation order the
-    in-process handlers use — divergence here would break the
-    single-vs-multi-worker bit-identity contract."""
-    from .app import (
-        _engine_of,
-        _grammar_from_spec,
-        _method_of,
-        _tokens_of,
-        analyze_result,
-        compile_result,
-        fuzz_result,
-        parse_result,
-    )
-    from .qos import budget_from_headers
-
-    if kind == "compile":
-        budget = budget_from_headers(headers)
-        method = _method_of(payload)
-        return compile_result(_grammar_from_spec(payload), method, cache, budget)
-    if kind == "parse":
-        budget = budget_from_headers(headers)
-        method = _method_of(payload)
-        tokens = _tokens_of(payload)
-        tree = bool(payload.get("tree"))
-        engine = _engine_of(payload)
-        return parse_result(
-            _grammar_from_spec(payload), tokens, method, tree, cache, budget, engine
-        )
-    if kind == "analyze":
-        budget = budget_from_headers(headers)
-        return analyze_result(_grammar_from_spec(payload), budget)
-    if kind == "fuzz":
-        return fuzz_result(payload)
-    raise HttpError(400, "unknown_job_kind", f"no pool request kind {kind!r}")
-
-
 def _worker_main(
     worker_id: int,
     inbox,
@@ -114,12 +81,14 @@ def _worker_main(
 ) -> None:
     """The forked worker loop: pull, execute, ship (result, counters)."""
     from ..tables import TableCache
+    from .app import GrammarHandles, execute
 
     cache = (
         TableCache(cache_dir, backend=backend, hot_capacity=hot_capacity)
         if cache_dir
         else None
     )
+    handles = GrammarHandles(hot_capacity)
     while True:
         try:
             item = inbox.get()
@@ -131,7 +100,7 @@ def _worker_main(
         prof = instrument.profile()
         collector = prof.__enter__()
         try:
-            result = _execute(kind, payload, headers, cache)
+            result = execute(kind, payload, headers, cache, handles)
             status, body = "ok", result
         except HttpError as error:
             status = "http_error"
@@ -170,7 +139,8 @@ class WorkerPool:
             in the workers; they still execute, just without artifacts).
         cache_backend: ``"json"`` or ``"bin"`` (``bin`` loads without a
             JSON parse).
-        hot_capacity: Per-worker in-memory hot-table LRU size.
+        hot_capacity: Per-worker in-memory hot-table LRU size, and the
+            size of each worker's grammar-handle memo.
         absorb: ``absorb(worker_id, counters)`` callback invoked on the
             dispatcher thread for every completed request (the service
             folds these into its metrics registry).

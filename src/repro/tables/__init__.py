@@ -1,6 +1,7 @@
 """Parse tables, conflicts, precedence resolution, and classification."""
 
-from .build import build_clr_table, build_lalr_table, build_lr0_table, build_slr_table
+from .build import BUILDERS, build_clr_table, build_lalr_table, build_lr0_table
+from .build import build_slr_table, build_table
 from .cache import BACKENDS, TableCache, default_cache_dir
 from .serialize import (
     TableCacheError,
@@ -34,6 +35,7 @@ __all__ = [
     "BACKENDS",
     "BINARY_FORMAT_VERSION",
     "BINARY_SUFFIX",
+    "BUILDERS",
     "Classification",
     "CompressedTable",
     "ConflictExample",
@@ -72,6 +74,7 @@ __all__ = [
     "build_lalr_table",
     "build_lr0_table",
     "build_slr_table",
+    "build_table",
     "class_at_most",
     "classify",
     "resolve_shift_reduce",

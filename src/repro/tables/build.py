@@ -17,8 +17,9 @@ fires and carries no lookaheads anywhere in the library.
 
 from __future__ import annotations
 
+import functools
 from array import array
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..automaton.lr0 import LR0Automaton
 from ..automaton.lr1 import LR1Automaton
@@ -434,3 +435,28 @@ def _place(
     raise AssertionError(
         f"impossible action pair in state {state_id}: {existing!r} vs {new_action!r}"
     )
+
+
+#: Every table construction, by the method name the CLI and the service
+#: accept.
+BUILDERS = {
+    "lr0": build_lr0_table,
+    "slr1": build_slr_table,
+    "lalr1": build_lalr_table,
+    "clr1": build_clr_table,
+}
+
+
+def build_table(
+    grammar: Grammar, method: str, cache=None, budget=None, fingerprint: Optional[str] = None
+) -> "Tuple[Grammar, ParseTable]":
+    """``(augmented grammar, table)`` for *method*: from the TableCache
+    *cache* when it holds the table (*fingerprint* as for its ``load``),
+    else built under *budget* and stored there."""
+    builder = BUILDERS[method]
+    if budget is not None:
+        builder = functools.partial(builder, budget=budget)
+    augmented = grammar.augmented()
+    if cache is None:
+        return augmented, builder(augmented)
+    return augmented, cache.load_or_build(augmented, method, builder, fingerprint)

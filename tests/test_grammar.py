@@ -157,6 +157,37 @@ class TestAugmentation:
         grammar = builder.build(start="S").augmented()
         assert grammar.start.name == "S''"
 
+    def test_repeated_augmentation_returns_one_copy(self):
+        # Augmentation mints its start symbol in the shared symbol table,
+        # so a second copy would start at E'' with another fingerprint.
+        from repro.grammar.fingerprint import grammar_fingerprint
+        from repro.grammars import corpus
+
+        grammar = corpus.load("expr")
+        first = grammar.augmented()
+        fingerprint = grammar_fingerprint(first)
+        symbols = len(grammar.symbols)
+        for _ in range(500):
+            again = grammar.augmented()
+            assert again is first
+            assert grammar_fingerprint(again) == fingerprint
+        assert len(grammar.symbols) == symbols
+        assert first.start.name == "E'"
+
+    def test_held_grammar_builds_its_table_once(self, tmp_path):
+        from repro.grammars import corpus
+        from repro.service import parse_result
+        from repro.tables import TableCache
+
+        grammar = corpus.load("toy_java")
+        cache = TableCache(str(tmp_path), hot_capacity=4)
+        tokens = ["class", "ID", "{", "}"]
+        first = parse_result(grammar, tokens, cache=cache)
+        assert first["valid"]
+        assert parse_result(grammar, tokens, cache=cache) == first
+        assert cache.stores == 1
+        assert cache.hot_hits == 1
+
 
 class TestPrecedenceContainer:
     def test_precedence_levels_assigned_in_order(self):

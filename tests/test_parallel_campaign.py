@@ -187,7 +187,7 @@ class TestBatchExitContract:
         def explode(grammar, **kwargs):
             raise RuntimeError("simulated builder bug")
 
-        monkeypatch.setitem(cli._BUILDERS, "lalr1", explode)
+        monkeypatch.setitem(cli.BUILDERS, "lalr1", explode)
         (tmp_path / "g.cfg").write_text("S -> a\n")
         code, output = run(["batch", str(tmp_path)])
         assert code == 1
