@@ -96,22 +96,6 @@ def minimal_production_map(
     return chosen
 
 
-def minimal_production(
-    grammar: Grammar, nonterminal: Symbol, lengths: Dict[Symbol, float]
-) -> Production:
-    """A yield-minimal, expansion-safe production of *nonterminal*.
-
-    Thin per-call wrapper over :func:`minimal_production_map`; loops that
-    expand many nonterminals should compute the map once instead.
-    """
-    chosen = minimal_production_map(grammar, lengths).get(nonterminal)
-    if chosen is None:
-        raise GrammarValidationError(
-            f"nonterminal {nonterminal.name!r} generates no terminal string"
-        )
-    return chosen
-
-
 class SentenceGenerator:
     """Random sentence sampler for a grammar.
 

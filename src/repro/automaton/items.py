@@ -59,15 +59,6 @@ def next_symbol(grammar: Grammar, item: "Item | Item1") -> "Symbol | None":
     return None
 
 
-def next_sid(grammar: Grammar, item: "Item | Item1") -> int:
-    """The dense symbol ID after the dot, or -1 for a final item — the
-    integer-core counterpart of :func:`next_symbol`."""
-    production = grammar.productions[item.production]
-    if item.dot < len(production.rhs_sids):
-        return production.rhs_sids[item.dot]
-    return -1
-
-
 def is_final(grammar: Grammar, item: "Item | Item1") -> bool:
     """True when the dot is at the end: the item calls for a reduction."""
     return item.dot >= len(grammar.productions[item.production].rhs)

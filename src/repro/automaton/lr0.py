@@ -378,11 +378,6 @@ class LR0Automaton:
         target = self.states[state_id].targets[sid]
         return target if target >= 0 else None
 
-    def goto_sid(self, state_id: int, sid: int) -> int:
-        """Successor of *state_id* on the symbol with dense ID *sid*, or
-        -1 — the integer-core fast path (no hashing, no None boxing)."""
-        return self.states[state_id].targets[sid]
-
     def goto_sequence(self, state_id: int, symbols: Sequence[Symbol]) -> Optional[int]:
         """Walk the goto function along *symbols*; None if the path dies.
 

@@ -56,16 +56,6 @@ def fork_available() -> bool:
         return False
 
 
-def default_workers(cap: int = 8) -> int:
-    """A sensible pool size for long-running drivers: the CPU count,
-    capped (table builds stop scaling well past a handful of cores)."""
-    try:
-        count = multiprocessing.cpu_count()
-    except NotImplementedError:  # pragma: no cover - exotic platforms only
-        count = 1
-    return max(1, min(count, cap))
-
-
 def effective_workers(workers: int, n_tasks: int) -> int:
     """The worker count actually used: clamped to the task count, and 1
     (serial) when parallelism is disabled or unsupported."""

@@ -238,9 +238,6 @@ class SymbolIds:
     def nonterminal(self, nt_id: int) -> Symbol:
         return self.nonterminals[nt_id]
 
-    def is_terminal_sid(self, sid: int) -> bool:
-        return sid < self.num_terminals
-
     # -- misc -----------------------------------------------------------
 
     def declaration_order(self) -> "array":

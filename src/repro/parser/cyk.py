@@ -9,7 +9,7 @@ for cross-validating the LR engine: on any grammar, for any string,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..grammar.cnf import to_cnf
 from ..grammar.grammar import Grammar
@@ -98,7 +98,3 @@ class CykRecognizer:
         finally:
             if budget is not None:
                 budget.publish()
-
-    def accepts_all(self, sentences: "Iterable[Sequence]") -> bool:
-        """True iff every sentence in the iterable is in L(G)."""
-        return all(self.accepts(sentence) for sentence in sentences)

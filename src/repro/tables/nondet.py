@@ -100,10 +100,6 @@ class NondeterministicTable:
         """True iff no cell forks (every tuple has at most one action)."""
         return self.conflict_cells == 0
 
-    def actions_for(self, state: int, terminal_id: int) -> tuple:
-        """The competing actions for (state, lookahead id); () = error."""
-        return self.rows[state][terminal_id]
-
 
 def nondet_view(table) -> NondeterministicTable:
     """The memoized :class:`NondeterministicTable` for *table*.
