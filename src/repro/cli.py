@@ -259,7 +259,10 @@ def _cmd_parse(grammar: Grammar, args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     try:
-        tree = parser.parse(tokens, budget=budget)
+        if args.tree:
+            tree = parser.parse(tokens, budget=budget)
+        else:
+            parser.check(tokens, budget=budget)
     except ParseError as error:
         print(f"invalid: {error}")
         return 1

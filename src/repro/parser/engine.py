@@ -20,7 +20,9 @@ The end marker must *not* be included; the engine appends it.
 
 Semantic actions: ``parse()`` builds a :class:`~repro.parser.tree.Node`
 tree; ``parse_with_actions()`` instead folds a callback over reductions,
-which is how the calculator example evaluates on the fly.
+which is how the calculator example evaluates on the fly; ``check()``
+recognizes only — the same loop with constant callbacks, so it raises the
+same errors at the same step but allocates no tree.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ TokenLike = Union[Token, Symbol, str]
 
 
 def _no_semantic_value(production, children):
-    """The recognition-only reduce callback (:meth:`Parser.accepts`)."""
+    """The recognition-only reduce callback (:meth:`Parser.check`)."""
     return None
 
 
 def _no_leaf_value(token):
-    """The recognition-only shift callback (:meth:`Parser.accepts`)."""
+    """The recognition-only shift callback (:meth:`Parser.check`)."""
     return None
 
 
@@ -179,18 +181,25 @@ class Parser:
             shift_fn = lambda token: token.value
         return self._run(tokens, reduce_fn=reduce_fn, shift_fn=shift_fn, budget=budget)
 
-    def accepts(self, tokens: Iterable[TokenLike], budget=None) -> bool:
-        """True iff *tokens* is a sentence of the grammar.
+    def check(self, tokens: Iterable[TokenLike], budget=None) -> None:
+        """Recognize *tokens* without building a tree.
 
-        Recognition only: runs the engine with constant semantic
-        callbacks, so no parse tree is allocated."""
+        Runs the engine with constant semantic callbacks, so no parse tree
+        is allocated; raises exactly what :meth:`parse` raises
+        (``ParseError`` on invalid input, ``BudgetExceeded`` at the same
+        step under the same *budget*)."""
+        self._run(
+            tokens,
+            reduce_fn=_no_semantic_value,
+            shift_fn=_no_leaf_value,
+            budget=budget,
+        )
+
+    def accepts(self, tokens: Iterable[TokenLike], budget=None) -> bool:
+        """True iff *tokens* is a sentence of the grammar (:meth:`check`
+        without the diagnostics)."""
         try:
-            self._run(
-                tokens,
-                reduce_fn=_no_semantic_value,
-                shift_fn=_no_leaf_value,
-                budget=budget,
-            )
+            self.check(tokens, budget=budget)
         except ParseError:
             return False
         return True

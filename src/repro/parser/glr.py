@@ -117,11 +117,12 @@ class _GssNode:
 class ParseForest:
     """The SPPF for one accepted input, plus run statistics.
 
-    ``trees()`` / ``tree()`` / ``tree_count()`` enumerate derivations by
-    expanding families depth-first.  Enumeration is *saturating*: at most
-    ``limit`` trees are materialised (ambiguity can be exponential in the
-    input, and cyclic grammars derive infinitely many trees — cyclic
-    expansions are skipped, so counts cover the finite derivations only).
+    ``trees()`` / ``tree()`` enumerate derivations by expanding families
+    depth-first; ``tree_count()`` counts the same walk without building
+    a tree.  Enumeration is *saturating*: at most ``limit`` trees are
+    materialised (ambiguity can be exponential in the input, and cyclic
+    grammars derive infinitely many trees — cyclic expansions are
+    skipped, so counts cover the finite derivations only).
     Extracted trees share subtree Node objects where the forest shares
     SPPF nodes; treat them as read-only.
     """
@@ -148,8 +149,14 @@ class ParseForest:
         return trees[0]
 
     def tree_count(self, limit: int = 1000) -> int:
-        """How many distinct derivation trees, saturating at *limit*."""
-        return len(self.trees(limit=limit))
+        """How many distinct derivation trees, saturating at *limit*.
+
+        Counts over the SPPF without building a tree; for every
+        ``limit >= 1`` equal to ``len(self.trees(limit))``."""
+        if self.root is None:
+            return 0
+        count = _tree_count(self.root, {}, set(), limit)
+        return count if count is not None else 0
 
     @property
     def is_ambiguous(self) -> bool:
@@ -197,6 +204,48 @@ def _tree_list(node: SppfNode, memo: dict, on_path: set, limit: int):
     if clean:
         memo[key] = out
     return out
+
+
+def _tree_count(node: SppfNode, memo: dict, on_path: set, limit: int):
+    """``len(_tree_list(node, ...))`` without the trees: the same walk,
+    memo, cycle guard, truncation points and "clean" rule, over
+    saturating integers instead of lists.  None = cycle guard hit."""
+    key = id(node)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if not node.families:
+        memo[key] = 1
+        return 1
+    if key in on_path:
+        return None
+    on_path.add(key)
+    total = 0
+    clean = True
+    for _production, children in node.families:
+        combos = 1
+        for child in children:
+            sub = _tree_count(child, memo, on_path, limit)
+            if sub is None:
+                clean = False
+                combos = 0
+                break
+            if not sub:
+                combos = 0
+                break
+            combos *= sub
+            if combos > limit:
+                combos = limit
+                clean = False
+        if combos:
+            total = min(total + combos, limit)
+            if total >= limit:
+                clean = False
+                break
+    on_path.discard(key)
+    if clean:
+        memo[key] = total
+    return total
 
 
 class GlrParser:

@@ -128,7 +128,11 @@ def parse_result(
     engine: str = "lr",
     fingerprint: "Optional[str]" = None,
 ) -> dict:
-    """The ``POST /parse`` body: validity (plus the tree on request)."""
+    """The ``POST /parse`` body: validity (plus the tree on request).
+
+    Without *tree* no parse tree is built: the LR engine only recognizes
+    (:meth:`Parser.check`) and GLR counts its forest's derivations
+    instead of enumerating them."""
     _, table = build_table(grammar, method, cache, budget, fingerprint)
     if engine == "glr":
         from ..parser import GlrParser
@@ -152,11 +156,12 @@ def parse_result(
         raise HttpError(422, "conflicted_table", str(error))
     result = {"grammar": grammar.name, "valid": True}
     try:
-        node = parser.parse(tokens, budget=budget)
+        if tree:
+            result["tree"] = parser.parse(tokens, budget=budget).format()
+        else:
+            parser.check(tokens, budget=budget)
     except ParseError as error:
         return {"grammar": grammar.name, "valid": False, "error": str(error)}
-    if tree:
-        result["tree"] = node.format()
     return result
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import threading
 from http.client import HTTPConnection
 from typing import Dict, Optional
@@ -83,23 +85,53 @@ def serve_forever(
     port: int = 8080,
     announce=print,
 ) -> int:
-    """Blocking serve loop (the ``repro serve`` verb); 0 on clean exit."""
+    """Blocking serve loop (the ``repro serve`` verb); 0 on clean exit.
+
+    SIGTERM stops it the way SIGINT does: the serving task is cancelled,
+    so ``service.close()`` still stops the job queue and the worker pool.
+    """
 
     async def main() -> None:
         server = await run_server(service, host, port)
         bound = server.sockets[0].getsockname()
         announce(f"serving on http://{bound[0]}:{bound[1]}")
+        restore = _cancel_on_sigterm(asyncio.current_task())
         try:
             async with server:
                 await server.serve_forever()
         finally:
             await service.close()
+            restore()
 
     try:
         asyncio.run(main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0
+
+
+def _cancel_on_sigterm(task: "asyncio.Task"):
+    """Route SIGTERM to ``task.cancel()``; returns the undo callable.
+
+    Processes forked from this one later (pool and fan-out workers)
+    inherit the handler; there it restores the default action and
+    re-raises, so ``terminate()`` still ends them.  A no-op off the main
+    thread, where Python cannot install signal handlers.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return lambda: None
+    loop = asyncio.get_running_loop()
+    owner = os.getpid()
+
+    def on_sigterm(signum, frame) -> None:
+        if os.getpid() != owner:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return
+        loop.call_soon_threadsafe(task.cancel)
+
+    previous = signal.signal(signal.SIGTERM, on_sigterm)
+    return lambda: signal.signal(signal.SIGTERM, previous)
 
 
 class ServiceThread:

@@ -8,6 +8,8 @@ ambiguity degree.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import SentenceGenerator
 from repro.analysis.ambiguity import TreeCounter
@@ -16,6 +18,7 @@ from repro.core.budget import Budget, BudgetExceeded
 from repro.grammar import load_grammar
 from repro.grammar.errors import GrammarValidationError
 from repro.grammars import corpus
+from repro.grammars.random_gen import random_grammar
 from repro.parser import ConflictedTableError, CykRecognizer, GlrParser, ParseError, Parser
 from repro.tables import (
     build_lalr_table,
@@ -37,6 +40,17 @@ def _tables():
 _TABLES = _tables()
 DETERMINISTIC = sorted(n for n, t in _TABLES.items() if t.is_deterministic)
 CONFLICTED = sorted(n for n, t in _TABLES.items() if not t.is_deterministic)
+
+
+_random_grammars = st.builds(
+    lambda seed, nts, ts, eps: random_grammar(
+        seed, n_nonterminals=nts, n_terminals=ts, epsilon_weight=eps
+    ),
+    seed=st.integers(min_value=0, max_value=10_000),
+    nts=st.integers(min_value=2, max_value=5),
+    ts=st.integers(min_value=2, max_value=4),
+    eps=st.floats(min_value=0.0, max_value=0.4),
+)
 
 
 def _streams(grammar, count=6, budget=16):
@@ -289,3 +303,70 @@ class TestForestApi:
         assert stats["shifts"] == 3
         assert stats["gss_nodes"] >= 4
         assert forest.token_count == 3
+
+
+class TestTreeCountTwin:
+    """``tree_count`` counts over the SPPF without building trees; the
+    enumerating ``trees()`` is its oracle, limit by limit."""
+
+    LIMITS = (1, 2, 3, 50, 1000)
+
+    def _assert_twins(self, forest):
+        for limit in self.LIMITS:
+            assert forest.tree_count(limit) == len(forest.trees(limit)), limit
+
+    def _accepted_forests(self, table, streams):
+        glr = GlrParser(table)
+        for words in streams:
+            try:
+                yield glr.parse_forest(list(words))
+            except ParseError:
+                continue
+
+    @pytest.mark.parametrize("name", sorted(_TABLES))
+    def test_corpus(self, name):
+        table = _TABLES[name]
+        streams = _streams(table.grammar, count=4, budget=12)
+        for forest in self._accepted_forests(table, streams):
+            self._assert_twins(forest)
+
+    def test_catalan_counts(self):
+        grammar = load_grammar("E -> E E | a").augmented()
+        glr = GlrParser(build_lalr_table(grammar))
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+        for n, count in enumerate(catalan, start=1):
+            forest = glr.parse_forest(["a"] * n)
+            self._assert_twins(forest)
+            for limit in self.LIMITS:
+                assert forest.tree_count(limit) == min(count, limit), (n, limit)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A -> A | a",
+            "S -> S S | a | %empty",
+            "S -> A\nA -> B | a\nB -> A | b | A A",
+            # B is cut short under A's cycle guard, then reached again
+            # from S where the guard does not fire: two different counts.
+            "S -> A | B\nA -> B | a\nB -> A | b",
+        ],
+    )
+    def test_cyclic_grammars(self, text):
+        table = build_lalr_table(load_grammar(text).augmented())
+        streams = [["a"] * n for n in range(4)] + [["a", "b"], ["b", "a", "b"]]
+        forests = list(self._accepted_forests(table, streams))
+        assert forests
+        for forest in forests:
+            self._assert_twins(forest)
+
+    @given(grammar=_random_grammars)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_random_grammars(self, grammar):
+        table = build_lalr_table(grammar.augmented())
+        streams = _streams(table.grammar, count=3, budget=8)
+        for forest in self._accepted_forests(table, streams):
+            self._assert_twins(forest)
