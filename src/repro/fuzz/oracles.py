@@ -367,11 +367,17 @@ def check_table_agreement(ctx: OracleContext) -> Optional[str]:
             f"determinism differs: dp={dp_table.is_deterministic} "
             f"merge={merged_table.is_deterministic}"
         )
-    for state in range(dp_table.n_states):
-        if dp_table.actions[state] != merged_table.actions[state]:
-            return f"ACTION row {state} differs between dp and merged-LR(1) fills"
-        if dp_table.gotos[state] != merged_table.gotos[state]:
-            return f"GOTO row {state} differs between dp and merged-LR(1) fills"
+    ids = ctx.augmented.ids
+    for kind, dp_codes, merged_codes, width in (
+        ("ACTION", dp_table.action_codes, merged_table.action_codes, ids.num_terminals),
+        ("GOTO", dp_table.goto_codes, merged_table.goto_codes, ids.num_nonterminals),
+    ):
+        if dp_codes != merged_codes:
+            # Same automaton, so same lengths: some cell must differ.
+            cell = next(
+                i for i, (dp, merged) in enumerate(zip(dp_codes, merged_codes)) if dp != merged
+            )
+            return f"{kind} row {cell // width} differs between dp and merged-LR(1) fills"
     return None
 
 

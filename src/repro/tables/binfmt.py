@@ -205,7 +205,7 @@ def table_from_bytes(data: "bytes | memoryview", grammar: Grammar) -> ParseTable
     conflicts = _decode_conflict_section(
         _section_from_le_bytes(payload[action_bytes + goto_bytes :]), grammar
     )
-    return ParseTable.from_codes(grammar, method, action_codes, goto_codes, conflicts)
+    return ParseTable(grammar, method, action_codes, goto_codes, conflicts)
 
 
 def _decode_conflict_section(flat, grammar: Grammar) -> "List[Conflict]":

@@ -1,7 +1,10 @@
 """Parse-table construction for the four LR variants.
 
-All four builders share one cell-filling engine and differ only in *which
-lookaheads gate each reduction*:
+All four builders share one row writer, which fills the table's flat
+``action_codes``/``goto_codes`` arrays straight from each state's
+transitions and reduce look-ahead bitmasks (no per-cell action objects;
+see :class:`_RowWriter`).  They differ only in *which lookaheads gate each
+reduction*:
 
 - **LR(0)**: every terminal (reduce regardless of lookahead);
 - **SLR(1)**: FOLLOW(lhs) — :class:`repro.baselines.slr.SlrAnalysis`;
@@ -30,7 +33,17 @@ from ..core.relations import ReductionSite
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
 from .conflicts import Conflict, resolve_shift_reduce
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift, encode_rows
+from .table import (
+    ACCEPT,
+    ACTION_ACCEPT,
+    ACTION_ERROR,
+    ACTION_REDUCE,
+    ACTION_SHIFT,
+    ParseTable,
+    Reduce,
+    Shift,
+    encode_action,
+)
 
 
 def build_lr0_table(
@@ -56,7 +69,7 @@ def build_slr_table(
         if automaton is None:
             automaton = LR0Automaton(grammar, budget=budget)
         analysis = SlrAnalysis(grammar, automaton)
-        mask_of = _symbol_set_masker(automaton)
+        mask_of = _symbol_set_masker(automaton.ids)
 
         def lookahead_mask(site: ReductionSite) -> int:
             return mask_of(analysis.lookahead(*site))
@@ -93,7 +106,7 @@ def build_lalr_table(
                 return site_masks.get(site, 0)
 
         else:
-            mask_of = _symbol_set_masker(automaton)
+            mask_of = _symbol_set_masker(automaton.ids)
 
             def lookahead_mask(site: ReductionSite) -> int:
                 return mask_of(lookahead_table.get(site, frozenset()))
@@ -101,13 +114,13 @@ def build_lalr_table(
         return _fill_lr0_based(automaton, "lalr1", lookahead_mask, budget)
 
 
-def _symbol_set_masker(automaton: LR0Automaton) -> "callable":
+def _symbol_set_masker(ids) -> "callable":
     """Symbol-set -> terminal-ID bitmask converter (memoised per set).
 
-    Follow/LA sets are shared objects (one per lhs or site), so the
-    memoisation makes the conversion one pass per distinct set.
+    Follow/LA sets and LR(1) item look-ahead sets are shared objects, so
+    the memoisation makes the conversion one pass per distinct set.
     """
-    terminal_id = automaton.ids.terminal_id
+    terminal_id = ids.terminal_id
     cache: Dict[int, int] = {}
 
     def mask_of(terminals: FrozenSet[Symbol]) -> int:
@@ -123,102 +136,135 @@ def _symbol_set_masker(automaton: LR0Automaton) -> "callable":
     return mask_of
 
 
+def _lr0_row(state, lookahead_mask_for: "callable") -> "tuple[int, list, list]":
+    """One LR(0) state as the row writer's ``(state_id, transitions,
+    reductions)``."""
+    targets = state.targets
+    state_id = state.state_id
+    return (
+        state_id,
+        [(sid, targets[sid]) for sid in state.out_sids],
+        [
+            (item.production, lookahead_mask_for((state_id, item.production)))
+            for item in state.reductions
+        ],
+    )
+
+
 def _fill_lr0_based(
     automaton: LR0Automaton,
     method: str,
     lookahead_mask_for: "callable",
     budget=None,
 ) -> ParseTable:
-    """Fill ACTION/GOTO walking the automaton's integer core.
+    """Fill ACTION/GOTO from the automaton's integer core: each state's
+    ID transition row and its reduce look-ahead bitmasks."""
+    rows = (_lr0_row(state, lookahead_mask_for) for state in automaton.states)
+    return _fill(automaton.grammar, method, len(automaton.states), rows, budget)
 
-    Shift/goto cells come from each state's ID row; reduce lookaheads
-    arrive as terminal-ID bitmasks and are widened to Symbols only at
-    the cell boundary (where conflict resolution reasons about
-    precedence declarations, which are Symbol-keyed).
-    """
-    grammar = automaton.grammar
-    ids = automaton.ids
-    num_terminals = ids.num_terminals
-    symbol_of = ids.by_sid
-    eof_sid = ids.terminal_id(grammar.eof)
-    eof = grammar.eof
-    actions: List[Dict[Symbol, Action]] = []
-    gotos: List[Dict[Symbol, int]] = []
-    conflicts: List[Conflict] = []
 
+def _fill(grammar: Grammar, method: str, n_states: int, rows, budget) -> ParseTable:
+    """A table of *n_states* rows, each ``(state_id, transitions,
+    reductions)`` of *rows* written by one :class:`_RowWriter`."""
+    writer = _RowWriter(grammar, n_states)
     if budget is not None:
         budget.enter_phase("table.fill")
     with instrument.span("table.fill"):
-        for state in automaton.states:
+        for state_id, transitions, reductions in rows:
             if budget is not None:
                 budget.tick()
-            action_row, goto_row = _fill_state_row(
-                grammar,
-                state,
-                lookahead_mask_for,
-                conflicts,
-                symbol_of,
-                num_terminals,
-                eof_sid,
-                eof,
-            )
-            actions.append(action_row)
-            gotos.append(goto_row)
+            writer.write(state_id, transitions, reductions)
     if budget is not None:
         budget.publish()
+    action_codes = writer.action_codes
     if instrument.enabled():
-        instrument.count("table.states", len(actions))
-        instrument.count("table.action_cells", sum(len(row) for row in actions))
-        instrument.count("table.conflicts", len(conflicts))
-    return ParseTable(grammar, method, actions, gotos, conflicts)
+        instrument.count("table.states", n_states)
+        instrument.count(
+            "table.action_cells", len(action_codes) - action_codes.count(ACTION_ERROR)
+        )
+        instrument.count("table.conflicts", len(writer.conflicts))
+    return ParseTable(grammar, method, action_codes, writer.goto_codes, writer.conflicts)
 
 
-def _fill_state_row(
-    grammar: Grammar,
-    state,
-    lookahead_mask_for: "callable",
-    conflicts: List[Conflict],
-    symbol_of,
-    num_terminals: int,
-    eof_sid: int,
-    eof: Symbol,
-) -> "tuple[Dict[Symbol, Action], Dict[Symbol, int]]":
-    """One state's ACTION/GOTO dict rows (the fill engine's inner body).
+class _RowWriter:
+    """Writes ACTION/GOTO codes one state at a time into two flat arrays.
 
-    Shared between the from-scratch fill and the incremental refill so a
-    refilled row is computed by the exact same code path.  Conflicts
-    discovered in this state are appended to *conflicts* in discovery
-    order.
+    The one fill engine of every construction (LR(0)-based, CLR(1) and
+    the incremental refill).  A state arrives as its transitions —
+    ``(sid, successor)`` pairs — and its reductions — ``(production,
+    look-ahead terminal mask)`` pairs.  Shift/accept/goto codes go
+    straight into the state's slice; each reduce visits its mask bits
+    from low to high.  Only a cell where a reduce meets another action
+    gets :class:`Action` objects, for :mod:`repro.tables.conflicts` to
+    resolve and for the conflict log, which therefore comes out in
+    (state, reduction, terminal id) order.
     """
-    action_row: Dict[Symbol, Action] = {}
-    goto_row: Dict[Symbol, int] = {}
-    targets = state.targets
-    for sid in state.out_sids:
-        successor = targets[sid]
-        if sid >= num_terminals:
-            goto_row[symbol_of[sid]] = successor
-        elif sid == eof_sid:
-            # goto on $end exists only from the item S' -> S . $end.
-            action_row[eof] = ACCEPT
+
+    def __init__(self, grammar: Grammar, n_states: int):
+        ids = grammar.ids
+        self.grammar = grammar
+        self.width = ids.num_terminals
+        self.n_nts = ids.num_nonterminals
+        self.eof_sid = ids.terminal_id(grammar.eof)
+        self.action_codes = array("i", [ACTION_ERROR]) * (n_states * self.width)
+        self.goto_codes = array("i", [-1]) * (n_states * self.n_nts)
+        self.conflicts: List[Conflict] = []
+
+    def write(self, state_id: int, transitions, reductions) -> None:
+        width = self.width
+        codes = self.action_codes
+        base = state_id * width
+        goto_codes = self.goto_codes
+        goto_base = state_id * self.n_nts - width
+        eof_sid = self.eof_sid
+        for sid, successor in transitions:
+            if sid >= width:
+                goto_codes[goto_base + sid] = successor
+            elif sid == eof_sid:
+                # goto on $end exists only from the item S' -> S . $end.
+                codes[base + sid] = ACTION_ACCEPT
+            else:
+                codes[base + sid] = (successor << 2) | ACTION_SHIFT
+        for production, mask in reductions:
+            if production == 0:
+                continue
+            code = (production << 2) | ACTION_REDUCE
+            while mask:
+                low_bit = mask & -mask
+                mask ^= low_bit
+                cell = base + low_bit.bit_length() - 1
+                existing = codes[cell]
+                if existing == ACTION_ERROR:
+                    codes[cell] = code
+                elif existing != code:
+                    codes[cell] = self._collide(state_id, cell - base, existing, code)
+
+    def _collide(self, state_id: int, terminal_id: int, existing_code: int, code: int) -> int:
+        """The code a cell keeps when reduce *code* meets *existing_code*;
+        the collision is logged as a :class:`Conflict`."""
+        grammar = self.grammar
+        terminal = grammar.ids.terminals[terminal_id]
+        new_action = Reduce(code >> 2)
+        tag = existing_code & 3
+        if tag == ACTION_SHIFT:
+            existing = Shift(existing_code >> 2)
+            winner, resolved = resolve_shift_reduce(grammar, terminal, existing, new_action)
+            kind = "shift/reduce"
+        elif tag == ACTION_REDUCE:
+            # yacc rule: the earlier production wins; never precedence-resolved.
+            existing = Reduce(existing_code >> 2)
+            winner = existing if existing.production <= new_action.production else new_action
+            kind, resolved = "reduce/reduce", False
         else:
-            action_row[symbol_of[sid]] = Shift(successor)
-    for item in state.reductions:
-        if item.production == 0:
-            continue
-        reduce_action = Reduce(item.production)
-        mask = lookahead_mask_for((state.state_id, item.production))
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            _place(
-                grammar,
-                actions_row=action_row,
-                state_id=state.state_id,
-                terminal=symbol_of[low_bit.bit_length() - 1],
-                new_action=reduce_action,
-                conflicts=conflicts,
-            )
-    return action_row, goto_row
+            # Only cyclic grammars (S =>+ S) can pit accept against a reduce;
+            # keep accept and report it as an unresolved shift/reduce-style
+            # conflict so the classifier rejects such grammars.
+            existing = ACCEPT
+            winner, kind, resolved = existing, "shift/reduce", False
+        self.conflicts.append(
+            Conflict(state_id, terminal, kind, [existing, new_action], winner, resolved)
+        )
+        return encode_action(winner)
 
 
 def refill_lalr_table(
@@ -240,8 +286,8 @@ def refill_lalr_table(
     any state reducing by that production contains one of its items and
     is dirty by definition.)  Everything is assembled in state order, so
     the code arrays and the conflict list come out exactly as a
-    from-scratch fill's; clean rows are copied as slices of the old code
-    arrays and nothing is decoded.
+    from-scratch fill's: clean rows are copied as slices of the old code
+    arrays, refilled rows go through the same :class:`_RowWriter`.
     """
     grammar = automaton.grammar
     states = automaton.states
@@ -254,19 +300,14 @@ def refill_lalr_table(
         if la_get(site) != old_mask:
             refill[site[0]] = 1
 
-    ids = grammar.ids
-    symbol_of = ids.by_sid
-    num_terminals = ids.num_terminals
-    n_nts = ids.num_nonterminals
-    eof = grammar.eof
-    eof_sid = ids.terminal_id(eof)
-
     def lookahead_mask(site: ReductionSite) -> int:
-        return la_masks.get(site, 0)
+        return la_get(site, 0)
 
-    action_codes = array("i")
-    goto_codes = array("i")
-    conflicts: List[Conflict] = []
+    writer = _RowWriter(grammar, n_states)
+    width, n_nts = writer.width, writer.n_nts
+    action_codes, goto_codes, conflicts = (
+        writer.action_codes, writer.goto_codes, writer.conflicts
+    )
     reused = 0
     # ``old_table.conflicts`` is in state order (so is our output), so a
     # single pointer walks it: clean runs copy their slice of old
@@ -284,10 +325,10 @@ def refill_lalr_table(
                 boundary = n_states
             if boundary > state_id:
                 # Clean run [state_id, boundary): code slices copied verbatim.
-                action_codes.extend(
-                    old_action_codes[state_id * num_terminals:boundary * num_terminals]
-                )
-                goto_codes.extend(old_goto_codes[state_id * n_nts:boundary * n_nts])
+                action_slice = slice(state_id * width, boundary * width)
+                action_codes[action_slice] = old_action_codes[action_slice]
+                goto_slice = slice(state_id * n_nts, boundary * n_nts)
+                goto_codes[goto_slice] = old_goto_codes[goto_slice]
                 while (
                     conflict_ptr < n_old_conflicts
                     and old_conflicts[conflict_ptr].state < boundary
@@ -303,24 +344,12 @@ def refill_lalr_table(
                 and old_conflicts[conflict_ptr].state <= state_id
             ):
                 conflict_ptr += 1
-            action_row, goto_row = _fill_state_row(
-                grammar,
-                states[state_id],
-                lookahead_mask,
-                conflicts,
-                symbol_of,
-                num_terminals,
-                eof_sid,
-                eof,
-            )
-            row_actions, row_gotos = encode_rows(grammar, [action_row], [goto_row])
-            action_codes.extend(row_actions)
-            goto_codes.extend(row_gotos)
+            writer.write(*_lr0_row(states[state_id], lookahead_mask))
             state_id += 1
     if instrument.enabled():
         instrument.count("phase.table.rows_reused", reused)
         instrument.count("phase.table.rows_refilled", n_states - reused)
-    return ParseTable.from_codes(grammar, "lalr1", action_codes, goto_codes, conflicts)
+    return ParseTable(grammar, "lalr1", action_codes, goto_codes, conflicts)
 
 
 def build_clr_table(
@@ -334,107 +363,20 @@ def build_clr_table(
                 budget=budget,
             )
         grammar = lr1.grammar
-        eof = grammar.eof
-        actions: List[Dict[Symbol, Action]] = []
-        gotos: List[Dict[Symbol, int]] = []
-        conflicts: List[Conflict] = []
-
-        if budget is not None:
-            budget.enter_phase("table.fill")
-        with instrument.span("table.fill"):
-            for state in lr1.states:
-                if budget is not None:
-                    budget.tick()
-                action_row: Dict[Symbol, Action] = {}
-                goto_row: Dict[Symbol, int] = {}
-                for symbol, successor in state.transitions.items():
-                    if symbol.is_nonterminal:
-                        goto_row[symbol] = successor
-                    elif symbol is eof:
-                        action_row[eof] = ACCEPT
-                    else:
-                        action_row[symbol] = Shift(successor)
-                for production_index, lookahead_set in lr1.reductions(state.state_id):
-                    if production_index == 0:
-                        continue
-                    reduce_action = Reduce(production_index)
-                    for terminal in lookahead_set:
-                        _place(
-                            grammar,
-                            actions_row=action_row,
-                            state_id=state.state_id,
-                            terminal=terminal,
-                            new_action=reduce_action,
-                            conflicts=conflicts,
-                        )
-                actions.append(action_row)
-                gotos.append(goto_row)
-        if budget is not None:
-            budget.publish()
-        if instrument.enabled():
-            instrument.count("table.states", len(actions))
-            instrument.count("table.action_cells", sum(len(row) for row in actions))
-            instrument.count("table.conflicts", len(conflicts))
-        return ParseTable(grammar, "clr1", actions, gotos, conflicts)
-
-
-def _place(
-    grammar: Grammar,
-    actions_row: Dict[Symbol, Action],
-    state_id: int,
-    terminal: Symbol,
-    new_action: Action,
-    conflicts: List[Conflict],
-) -> None:
-    """Install *new_action* into a cell, resolving/recording conflicts."""
-    existing = actions_row.get(terminal)
-    if existing is None:
-        actions_row[terminal] = new_action
-        return
-    if existing == new_action:
-        return
-    if existing.kind == "shift" and new_action.kind == "reduce":
-        winner, resolved = resolve_shift_reduce(grammar, terminal, existing, new_action)
-        conflicts.append(
-            Conflict(state_id, terminal, "shift/reduce", [existing, new_action], winner, resolved)
+        sid = grammar.ids.sid
+        mask_of = _symbol_set_masker(grammar.ids)
+        rows = (
+            (
+                state.state_id,
+                [(sid(symbol), successor) for symbol, successor in state.transitions.items()],
+                [
+                    (production, mask_of(lookaheads))
+                    for production, lookaheads in lr1.reductions(state.state_id)
+                ],
+            )
+            for state in lr1.states
         )
-        if winner is None:
-            del actions_row[terminal]
-        else:
-            actions_row[terminal] = winner
-        return
-    if existing.kind == "reduce" and new_action.kind == "reduce":
-        # yacc rule: the earlier production wins; never precedence-resolved.
-        winner = existing if existing.production <= new_action.production else new_action
-        conflicts.append(
-            Conflict(state_id, terminal, "reduce/reduce", [existing, new_action], winner, False)
-        )
-        actions_row[terminal] = winner
-        return
-    # reduce placed first, then shift discovered — normalise the ordering.
-    if existing.kind == "reduce" and new_action.kind == "shift":
-        winner, resolved = resolve_shift_reduce(grammar, terminal, new_action, existing)
-        conflicts.append(
-            Conflict(state_id, terminal, "shift/reduce", [new_action, existing], winner, resolved)
-        )
-        if winner is None:
-            del actions_row[terminal]
-        else:
-            actions_row[terminal] = winner
-        return
-    if existing.kind == "accept" or new_action.kind == "accept":
-        # Only cyclic grammars (S =>+ S) can pit accept against a reduce;
-        # keep accept and report it as an unresolved shift/reduce-style
-        # conflict so the classifier rejects such grammars.
-        winner = existing if existing.kind == "accept" else new_action
-        conflicts.append(
-            Conflict(state_id, terminal, "shift/reduce", [existing, new_action], winner, False)
-        )
-        actions_row[terminal] = winner
-        return
-    raise AssertionError(
-        f"impossible action pair in state {state_id}: {existing!r} vs {new_action!r}"
-    )
+        return _fill(grammar, "clr1", len(lr1.states), rows, budget)
 
 
 #: Every table construction, by the method name the CLI and the service

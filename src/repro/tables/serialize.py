@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from array import array
 from typing import Dict, List
 
 from ..grammar.errors import SymbolError
 from ..grammar.fingerprint import grammar_fingerprint
 from ..grammar.grammar import Grammar
 from .conflicts import Conflict
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift
+from .table import ACCEPT, ACTION_ERROR, Action, ParseTable, Reduce, Shift, encode_action
 
 #: Bumped to 2 with the integer-interned symbol core: tables now carry
 #: dense ID-indexed rows derived from the grammar's ID layout, so
@@ -188,7 +189,16 @@ def table_from_dict(data: Dict, grammar: Grammar) -> ParseTable:
     # most one action per terminal); unresolved entries in the carried
     # conflict log are what make the loaded table report
     # is_deterministic=False and fuel the GLR engine's nondet view.
-    return ParseTable(grammar, method, actions, gotos, conflicts=conflicts)
+    ids = grammar.ids
+    width, n_nts = ids.num_terminals, ids.num_nonterminals
+    action_codes = array("i", [ACTION_ERROR]) * (len(actions) * width)
+    goto_codes = array("i", [-1]) * (len(gotos) * n_nts)
+    for state, (action_row, goto_row) in enumerate(zip(actions, gotos)):
+        for terminal, action in action_row.items():
+            action_codes[state * width + ids.terminal_id(terminal)] = encode_action(action)
+        for nonterminal, target in goto_row.items():
+            goto_codes[state * n_nts + ids.nonterminal_id(nonterminal)] = target
+    return ParseTable(grammar, method, action_codes, goto_codes, conflicts)
 
 
 def _validate_rows(

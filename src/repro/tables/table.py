@@ -19,10 +19,14 @@ parsers (:mod:`repro.tables.codegen`)::
     (production << 2) | 2reduce by ``production``
     3                    accept
 
-The Symbol-keyed rows — ``actions[state][terminal]`` (a :class:`Shift`,
+The codes are the table: every construction writes them directly (see
+:mod:`repro.tables.build`) and both artifact loaders read them back.  The
+Symbol-keyed rows — ``actions[state][terminal]`` (a :class:`Shift`,
 :class:`Reduce` or :class:`Accept`) and ``gotos[state][nonterminal]`` —
 are a view for diagnostics, text rendering, the JSON artifact and the
-baselines: decoded from the codes on first use and cached.
+baselines, always decoded from the codes on first use and cached, so
+their keys come in id order and a table has one JSON image however it
+was made.
 
 Conflicts found while filling a cell are recorded (see
 :mod:`repro.tables.conflicts`), a deterministic winner is kept in the
@@ -33,7 +37,7 @@ grammar was conflict-free for the construction used.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
@@ -159,30 +163,6 @@ class ActionDecoder:
         return action
 
 
-def encode_rows(
-    grammar: Grammar,
-    actions: List[Dict[Symbol, Action]],
-    gotos: List[Dict[Symbol, int]],
-) -> "Tuple[array, array]":
-    """The ``(action_codes, goto_codes)`` arrays of Symbol-keyed rows."""
-    ids = grammar.ids
-    terminal_id = ids.terminal_id
-    nonterminal_id = ids.nonterminal_id
-    width = ids.num_terminals
-    n_nts = ids.num_nonterminals
-    action_codes = array("i", [ACTION_ERROR]) * (len(actions) * width)
-    for state, row in enumerate(actions):
-        base = state * width
-        for terminal, action in row.items():
-            action_codes[base + terminal_id(terminal)] = encode_action(action)
-    goto_codes = array("i", [-1]) * (len(gotos) * n_nts)
-    for state, row in enumerate(gotos):
-        base = state * n_nts
-        for nonterminal, target in row.items():
-            goto_codes[base + nonterminal_id(nonterminal)] = target
-    return action_codes, goto_codes
-
-
 class ParseTable:
     """ACTION/GOTO code arrays plus conflict metadata for one construction."""
 
@@ -190,45 +170,13 @@ class ParseTable:
         self,
         grammar: Grammar,
         method: str,
-        actions: List[Dict[Symbol, Action]],
-        gotos: List[Dict[Symbol, int]],
+        action_codes: "array",
+        goto_codes: "array",
         conflicts: List[Conflict],
     ):
-        """Encode the Symbol-keyed rows a builder or the JSON loader
-        produced.  The given rows become the cached ``actions``/``gotos``
-        view, so a JSON artifact written from this table keeps their
-        order."""
-        action_codes, goto_codes = encode_rows(grammar, actions, gotos)
-        self._set_codes(grammar, method, action_codes, goto_codes, conflicts)
-        self._actions: "Optional[List[Dict[Symbol, Action]]]" = actions
-        self._gotos: "Optional[List[Dict[Symbol, int]]]" = gotos
-
-    @classmethod
-    def from_codes(
-        cls,
-        grammar: Grammar,
-        method: str,
-        action_codes: "array",
-        goto_codes: "array",
-        conflicts: List[Conflict],
-    ) -> "ParseTable":
-        """A table over already-encoded arrays (the binary loader and the
-        incremental refill): nothing is decoded until a caller asks for
-        the Symbol-keyed view."""
-        self = object.__new__(cls)
-        self._set_codes(grammar, method, action_codes, goto_codes, conflicts)
-        self._actions = None
-        self._gotos = None
-        return self
-
-    def _set_codes(
-        self,
-        grammar: Grammar,
-        method: str,
-        action_codes: "array",
-        goto_codes: "array",
-        conflicts: List[Conflict],
-    ) -> None:
+        """A table over encoded arrays (the builders, the refill and both
+        artifact loaders): nothing is decoded until a caller asks for the
+        Symbol-keyed view."""
         self.grammar = grammar
         #: Which construction produced the table: "lr0", "slr1", "lalr1", "clr1".
         self.method = method
@@ -236,6 +184,8 @@ class ParseTable:
         self.goto_codes = goto_codes
         self.conflicts = conflicts
         self.n_states = len(action_codes) // grammar.ids.num_terminals
+        self._actions: "Optional[List[Dict[Symbol, Action]]]" = None
+        self._gotos: "Optional[List[Dict[Symbol, int]]]" = None
 
     @property
     def actions(self) -> List[Dict[Symbol, Action]]:
@@ -291,15 +241,6 @@ class ParseTable:
 
     def goto(self, state: int, nonterminal: Symbol) -> Optional[int]:
         return self.gotos[state].get(nonterminal)
-
-    def action_by_id(self, state: int, terminal_id: int) -> Optional[Action]:
-        """The parse action for (state, terminal ID) — no Symbol hashing."""
-        width = self.grammar.ids.num_terminals
-        return ActionDecoder().decode(self.action_codes[state * width + terminal_id])
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        """The goto target for (state, nonterminal ID), or -1."""
-        return self.goto_codes[state * self.grammar.ids.num_nonterminals + nt_id]
 
     def conflict_summary(self) -> Dict[str, int]:
         """Counts by conflict kind (shift/reduce vs reduce/reduce)."""

@@ -40,10 +40,19 @@ class TestGeneration:
             generate_parser_module(build_lalr_table(grammar))
 
     def test_refuses_non_augmented(self):
+        from array import array
+
         from repro.tables.table import ParseTable
 
         grammar = load_grammar("S -> a")
-        fake = ParseTable(grammar, "lalr1", [{}], [{}], [])
+        ids = grammar.ids
+        fake = ParseTable(
+            grammar,
+            "lalr1",
+            array("i", [0]) * ids.num_terminals,
+            array("i", [-1]) * ids.num_nonterminals,
+            [],
+        )
         with pytest.raises(ValueError, match="augmented"):
             generate_parser_module(fake)
 

@@ -1,5 +1,7 @@
 """Unit tests: table compression, panic-mode recovery, DOT export."""
 
+from array import array
+
 import pytest
 
 from repro.analysis import SentenceGenerator
@@ -12,6 +14,7 @@ from repro.parser import Parser
 from repro.parser.recovery import RecoveringParser
 from repro.tables import ParseTable, build_lalr_table
 from repro.tables.compress import compress, compression_ratio
+from repro.tables.table import ACTION_ACCEPT, ACTION_ERROR
 from tests.classic_lr import classic_run
 
 
@@ -146,11 +149,11 @@ class TestCompression:
         without_accept = ParseTable(
             grammar,
             table.method,
-            [
-                {t: a for t, a in row.items() if a.kind != "accept"}
-                for row in table.actions
-            ],
-            table.gotos,
+            array(
+                "i",
+                (ACTION_ERROR if c == ACTION_ACCEPT else c for c in table.action_codes),
+            ),
+            table.goto_codes,
             table.conflicts,
         )
         with pytest.raises(ValueError, match="accept"):

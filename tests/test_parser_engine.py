@@ -199,9 +199,18 @@ class TestErrors:
         with pytest.raises(Exception):
             # build_lalr_table augments internally, so fake a bad table by
             # constructing the parser with a table whose grammar is raw.
+            from array import array
+
             from repro.tables.table import ParseTable
 
-            Parser(ParseTable(grammar, "lalr1", [{}], [{}], []))
+            ids = grammar.ids
+            Parser(ParseTable(
+                grammar,
+                "lalr1",
+                array("i", [0]) * ids.num_terminals,
+                array("i", [-1]) * ids.num_nonterminals,
+                [],
+            ))
 
 
 class TestStreaming:
