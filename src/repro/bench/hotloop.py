@@ -65,9 +65,9 @@ def workload(grammar) -> "List[List[str]]":
 
 
 def _tokens_per_second(parser: Parser, streams) -> float:
-    # accepts() drives the same loop as parse() with a constant-folding
-    # semantic callback, so the measurement isolates the engine rather
-    # than Node allocation.
+    # accepts() drives the same loop as parse() without callbacks or a
+    # value stack, so the measurement isolates the engine rather than
+    # Node allocation.
     total_tokens = sum(len(stream) for stream in streams)
     best = float("inf")
     for _ in range(REPEATS):

@@ -164,9 +164,9 @@ def random_token_stream(
     if rng.random() < 0.5 or not sentence:
         return sentence, True
     mutated = list(sentence)
-    # Never inject the reserved end marker: the LR engine (like yacc)
-    # treats an explicit $end token as end-of-input, which would make the
-    # "mutated" stream a truncation instead of a corruption.
+    # Never inject the reserved end marker: the engines reject it as an
+    # unknown terminal, so the mutant would test token resolution
+    # instead of the parse.
     terminals = [t for t in grammar.terminals if not t.is_eof]
     mutation = rng.choice(("drop", "swap", "insert"))
     index = rng.randrange(len(mutated))

@@ -16,18 +16,20 @@ independent references it is tested against are the RNGLR engine
 
 Tokens may be given as :class:`~repro.grammar.symbols.Symbol` objects, as
 terminal name strings, or as :class:`Token` (symbol + semantic value).
-The end marker must *not* be included; the engine appends it.
+The end marker must *not* be included; the engine appends it, and rejects
+it in the input as an unknown terminal.
 
 Semantic actions: ``parse()`` builds a :class:`~repro.parser.tree.Node`
 tree; ``parse_with_actions()`` instead folds a callback over reductions,
 which is how the calculator example evaluates on the fly; ``check()``
-recognizes only — the same loop with constant callbacks, so it raises the
-same errors at the same step but allocates no tree.
+recognizes only — the same loop with no callbacks and no value stack (a
+reduce pops states, a shift pushes one), so it raises the same errors at
+the same step but builds no tree and keeps no values.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..core import instrument
 from ..grammar.grammar import Grammar
@@ -49,16 +51,6 @@ class Token(NamedTuple):
 TokenLike = Union[Token, Symbol, str]
 
 
-def _no_semantic_value(production, children):
-    """The recognition-only reduce callback (:meth:`Parser.check`)."""
-    return None
-
-
-def _no_leaf_value(token):
-    """The recognition-only shift callback (:meth:`Parser.check`)."""
-    return None
-
-
 def not_a_terminal_error(name: str, position: int) -> ParseError:
     """The engine-standard error for a nonterminal Symbol in the input."""
     return ParseError(
@@ -71,33 +63,61 @@ def not_a_terminal_error(name: str, position: int) -> ParseError:
     )
 
 
+def unknown_terminal_error(name: str, position: int) -> ParseError:
+    """The engine-standard error for a name that is no input terminal."""
+    return ParseError(
+        f"unknown terminal {name!r} at position {position}",
+        position,
+        None,
+        state=-1,
+        expected=[],
+    )
+
+
 def normalise_token(grammar: Grammar, token: TokenLike, position: int) -> Token:
     """*token* (Token | Symbol | terminal name) as a :class:`Token`.
 
     Shared by the deterministic engine and the GLR engine so both reject
-    malformed input — nonterminal Symbols, unknown terminal names — with
-    byte-identical diagnostics.
+    malformed input — nonterminal Symbols, unknown terminal names, the
+    end marker (the engines append it; read from the input it would end
+    the parse early) — with byte-identical diagnostics.
     """
-    if isinstance(token, Token):
-        if token.symbol.is_nonterminal:
-            raise not_a_terminal_error(token.symbol.name, position)
-        return token
-    if isinstance(token, Symbol):
-        if token.is_nonterminal:
-            raise not_a_terminal_error(token.name, position)
-        return Token(token, token.name)
     if isinstance(token, str):
         symbol = grammar.symbols.get(token)
-        if symbol is None or symbol.is_nonterminal:
-            raise ParseError(
-                f"unknown terminal {token!r} at position {position}",
-                position,
-                None,
-                state=-1,
-                expected=[],
-            )
+        if symbol is None or symbol.is_nonterminal or symbol is grammar.eof:
+            raise unknown_terminal_error(token, position)
         return Token(symbol, token)
-    raise TypeError(f"cannot interpret token {token!r}")
+    if isinstance(token, Token):
+        symbol = token.symbol
+    elif isinstance(token, Symbol):
+        symbol, token = token, Token(token, token.name)
+    else:
+        raise TypeError(f"cannot interpret token {token!r}")
+    if symbol.is_nonterminal:
+        raise not_a_terminal_error(symbol.name, position)
+    if symbol is grammar.eof:
+        raise unknown_terminal_error(symbol.name, position)
+    return token
+
+
+def resolve_token(
+    grammar: Grammar, memo: dict, raw: TokenLike, position: int
+) -> "Tuple[Token, Optional[int]]":
+    """*raw* as ``(Token, terminal id)``; the id is None for a symbol
+    outside this grammar's layout, which the engines then reject as a
+    syntax error.
+
+    Name strings resolve the same way every time, so their pairs are
+    memoized in *memo*; only successful resolutions are cached, so
+    unknown-terminal and nonterminal-name errors are raised afresh, at
+    their own position."""
+    entry = memo.get(raw) if type(raw) is str else None
+    if entry is None:
+        token = normalise_token(grammar, raw, position)
+        entry = (token, grammar.ids.sid_or_none(token.symbol))
+        if type(raw) is str:
+            memo[raw] = entry
+    return entry
 
 
 class Parser:
@@ -140,10 +160,7 @@ class Parser:
         # lookup is a flat list index (no Symbol hashing per action).
         self._ids = self.grammar.ids
         self._eof_tid = self._ids.terminal_id(self._eof)
-        # Name-string tokens resolve to the same (Token, tid) pair every
-        # time; the loop memoizes that resolution.  Only
-        # successful resolutions are cached, so unknown-terminal and
-        # nonterminal-name errors still take _normalise's path verbatim.
+        #: :func:`resolve_token`'s memo; the loop reads it inline.
         self._tok_cache: dict = {}
 
     # -- public API ---------------------------------------------------
@@ -184,16 +201,11 @@ class Parser:
     def check(self, tokens: Iterable[TokenLike], budget=None) -> None:
         """Recognize *tokens* without building a tree.
 
-        Runs the engine with constant semantic callbacks, so no parse tree
-        is allocated; raises exactly what :meth:`parse` raises
-        (``ParseError`` on invalid input, ``BudgetExceeded`` at the same
-        step under the same *budget*)."""
-        self._run(
-            tokens,
-            reduce_fn=_no_semantic_value,
-            shift_fn=_no_leaf_value,
-            budget=budget,
-        )
+        Runs the engine with no semantic callbacks, so it keeps no value
+        stack at all — only the state stack; raises exactly what
+        :meth:`parse` raises (``ParseError`` on invalid input,
+        ``BudgetExceeded`` at the same step under the same *budget*)."""
+        self._run(tokens, budget=budget)
 
     def accepts(self, tokens: Iterable[TokenLike], budget=None) -> bool:
         """True iff *tokens* is a sentence of the grammar (:meth:`check`
@@ -229,8 +241,8 @@ class Parser:
     def _run(
         self,
         tokens: Iterable[TokenLike],
-        reduce_fn: Callable[[Production, Sequence[object]], object],
-        shift_fn: Callable[[Token], object],
+        reduce_fn: "Callable[[Production, Sequence[object]], object] | None" = None,
+        shift_fn: "Callable[[Token], object] | None" = None,
         budget=None,
     ) -> object:
         """The token loop over the compiled integer table.
@@ -241,16 +253,19 @@ class Parser:
         consultation entirely (``default_codes``).  Every action — fused
         or not — charges one parse step and every shift one token, so
         fusion never moves a budget exhaustion point.
+
+        Without callbacks (*reduce_fn* None: :meth:`check`) there is no
+        value stack: a reduce pops *arity* states and pushes the goto, a
+        shift pushes its state, and accept returns None.
         """
         with instrument.span("parse.run"):
             if budget is not None:
                 budget.enter_phase("parse")
             compiled = self._compiled
             state_stack: List[int] = [0]
-            value_stack: List[object] = []
+            value_stack: "List[object] | None" = None if reduce_fn is None else []
 
-            sid_or_none = self._ids.sid_or_none
-            normalise = self._normalise
+            grammar = self.grammar
             tok_cache = self._tok_cache
             tok_cache_get = tok_cache.get
             width = compiled.num_terminals
@@ -260,7 +275,7 @@ class Parser:
             default_codes = compiled.default_codes
             arities = compiled.arities
             lhs_nts = compiled.lhs_nts
-            productions = self.grammar.productions
+            productions = grammar.productions
 
             # Pull tokens lazily: the stream may be an unbounded generator,
             # so peak memory must stay O(parse stack), never O(input length).
@@ -278,15 +293,7 @@ class Parser:
                 token, tid = eof_token, eof_tid
             else:
                 entry = tok_cache_get(raw) if type(raw) is str else None
-                if entry is not None:
-                    token, tid = entry
-                else:
-                    token = normalise(raw, position)
-                    # None for symbols outside this grammar: the loop
-                    # then takes the ordinary syntax-error path.
-                    tid = sid_or_none(token.symbol)
-                    if type(raw) is str:
-                        tok_cache[raw] = (token, tid)
+                token, tid = entry or resolve_token(grammar, tok_cache, raw, position)
 
             try:
                 while True:
@@ -300,13 +307,19 @@ class Parser:
                         # bouncing through the outer dispatch.
                         prod_index = code >> 2
                         arity = arities[prod_index]
-                        if arity:
-                            children = value_stack[-arity:]
-                            del value_stack[-arity:]
-                            del state_stack[-arity:]
+                        if value_stack is None:
+                            if arity:
+                                del state_stack[-arity:]
                         else:
-                            children = []
-                        value_stack.append(reduce_fn(productions[prod_index], children))
+                            if arity:
+                                children = value_stack[-arity:]
+                                del value_stack[-arity:]
+                                del state_stack[-arity:]
+                            else:
+                                children = []
+                            value_stack.append(
+                                reduce_fn(productions[prod_index], children)
+                            )
                         state = goto_codes[state_stack[-1] * n_nts + lhs_nts[prod_index]]
                         if state < 0:  # pragma: no cover - tables are consistent
                             raise self._syntax_error(position, token, state_stack[-1])
@@ -324,6 +337,8 @@ class Parser:
                             # accept
                             if tid != eof_tid:  # pragma: no cover - table invariant
                                 raise self._syntax_error(position, token, state)
+                            if value_stack is None:
+                                return None
                             if len(value_stack) != 1:  # pragma: no cover - table invariant
                                 raise ParseError(
                                     "internal error: value stack not a singleton at accept",
@@ -334,7 +349,8 @@ class Parser:
                                 )
                             return value_stack[0]
                         # shift
-                        value_stack.append(shift_fn(token))
+                        if value_stack is not None:
+                            value_stack.append(shift_fn(token))
                         state = code >> 2
                         state_stack.append(state)
                         position += 1
@@ -347,13 +363,9 @@ class Parser:
                             token, tid = eof_token, eof_tid
                         else:
                             entry = tok_cache_get(raw) if type(raw) is str else None
-                            if entry is not None:
-                                token, tid = entry
-                            else:
-                                token = normalise(raw, position)
-                                tid = sid_or_none(token.symbol)
-                                if type(raw) is str:
-                                    tok_cache[raw] = (token, tid)
+                            token, tid = entry or resolve_token(
+                                grammar, tok_cache, raw, position
+                            )
                         continue
                     # code == 0: error cell
                     raise self._syntax_error(position, token, state)

@@ -5,13 +5,17 @@ single action a :class:`~repro.tables.table.ParseTable` keeps per cell,
 this engine runs off the :class:`~repro.tables.nondet
 .NondeterministicTable` view, which keeps *every* competing action of an
 unresolved conflict, and reads GOTO from the same table's
-``goto_codes``.  Nondeterminism is handled the Tomita/RNGLR way:
+``goto_codes``.  The reducer and the shifter read only the view's flat
+per-cell code tuples (reduce production indices, shift targets, an
+accept flag; ``state * num_terminals + terminal_id``), never an
+``Action`` object; the action rows serve only the error message.
+Nondeterminism is handled the Tomita/RNGLR way:
 
 - a **graph-structured stack** (GSS): parse stacks that share a suffix
   share the GSS nodes for it, so the worst case stays polynomial where
   naive stack-copying explodes.  Nodes are keyed (state, input level);
-  edges point from newer to older nodes and are labelled with the SPPF
-  node for the symbol that was pushed;
+  edges are ``(label, target)`` pairs pointing from newer to older nodes,
+  labelled with the SPPF node for the symbol that was pushed;
 - a **shared packed parse forest** (SPPF): derivation trees that share a
   subtree share the node for it.  Nodes are keyed (symbol, start, end);
   an ambiguous node packs one *family* (production, children) per
@@ -41,7 +45,7 @@ from ..grammar.grammar import Grammar
 from ..grammar.production import Production
 from ..grammar.symbols import Symbol
 from ..tables.nondet import NondeterministicTable, nondet_view
-from .engine import Token, TokenLike, normalise_token
+from .engine import Token, TokenLike, resolve_token
 from .errors import ParseError, syntax_error
 from .tree import Node
 
@@ -64,15 +68,26 @@ class SppfNode:
         self.end = end
         self.value = value
         self.families: "List[Tuple[Production, tuple]]" = []
-        self._family_keys: set = set()
+        #: (production index, children) of every family, once there are
+        #: two; nodes hash by identity, so equal keys mean the same
+        #: children objects.
+        self._family_keys: "Optional[set]" = None
 
     def add_family(self, production: Production, children: tuple) -> bool:
         """Pack one derivation; False if it was already packed."""
-        key = (production.index, tuple(id(child) for child in children))
-        if key in self._family_keys:
+        families = self.families
+        if not families:
+            families.append((production, children))
+            return True
+        keys = self._family_keys
+        if keys is None:
+            first, first_children = families[0]
+            keys = self._family_keys = {(first.index, first_children)}
+        key = (production.index, children)
+        if key in keys:
             return False
-        self._family_keys.add(key)
-        self.families.append((production, children))
+        keys.add(key)
+        families.append((production, children))
         return True
 
     @property
@@ -86,23 +101,14 @@ class SppfNode:
         )
 
 
-class _GssEdge:
-    """One GSS edge: the SPPF node for the pushed symbol + the older node."""
-
-    __slots__ = ("label", "target")
-
-    def __init__(self, label: SppfNode, target: "_GssNode"):
-        self.label = label
-        self.target = target
-
-
 class _GssNode:
     """One graph-structured-stack node: (parser state, input level).
 
-    ``has_level_parents`` records whether some *same-level* node holds an
-    edge into this one — the trigger for the conservative Farshi re-run
-    when this node later gains a new edge (a path from another stack top
-    may thread through it).
+    ``edges`` holds ``(label, target)`` pairs: the SPPF node for the
+    pushed symbol and the older GSS node.  ``has_level_parents`` records
+    whether some *same-level* node holds an edge into this one — the
+    trigger for the conservative Farshi re-run when this node later gains
+    a new edge (a path from another stack top may thread through it).
     """
 
     __slots__ = ("state", "level", "edges", "has_level_parents")
@@ -110,7 +116,7 @@ class _GssNode:
     def __init__(self, state: int, level: int):
         self.state = state
         self.level = level
-        self.edges: "List[_GssEdge]" = []
+        self.edges: "List[Tuple[SppfNode, _GssNode]]" = []
         self.has_level_parents = False
 
 
@@ -271,6 +277,8 @@ class GlrParser:
         self._ids = self.grammar.ids
         self._eof = self.grammar.eof
         self._eof_tid = self._ids.terminal_id(self._eof)
+        #: :func:`~repro.parser.engine.resolve_token`'s memo.
+        self._tok_cache: dict = {}
 
     # -- public API ---------------------------------------------------
 
@@ -299,70 +307,70 @@ class GlrParser:
         if budget is not None:
             budget.enter_phase("parse.glr")
         grammar = self.grammar
-        ids = self._ids
-        sid_or_none = ids.sid_or_none
-        num_terminals = ids.num_terminals
-        rows = self.view.rows
-        goto_codes = self.table.goto_codes
-        n_nts = ids.num_nonterminals
+        view = self.view
+        width = self._ids.num_terminals
+        n_nts = self._ids.num_nonterminals
+        reduce_cells = view.reduce_cells
+        reduce_nonempty_cells = view.reduce_nonempty_cells
+        shift_cells = view.shift_cells
+        accept_cells = view.accept_cells
+        arities = view.arities
+        lhs_nts = view.lhs_nts
+        goto_codes = view.goto_codes
         productions = grammar.productions
         eof_tid = self._eof_tid
+        tok_cache = self._tok_cache
 
         #: (symbol sid, start, end) -> the interned SPPF node.
         sppf: "Dict[Tuple[int, int, int], SppfNode]" = {}
-        root = _GssNode(0, 0)
         #: state -> GSS node for the current input level.
-        frontier: "Dict[int, _GssNode]" = {0: root}
+        frontier: "Dict[int, _GssNode]" = {0: _GssNode(0, 0)}
+        #: (GSS node, production index, first edge or None); empty
+        #: between input levels.
+        worklist: deque = deque()
+        push = worklist.append
+        pop = worklist.popleft
 
         stream = iter(tokens)
         eof_token = Token(self._eof, None)
         position = 0
-        stats = {
-            "gss_nodes": 1,
-            "gss_edges": 0,
-            "sppf_nodes": 0,
-            "sppf_families": 0,
-            "reductions": 0,
-            "shifts": 0,
-            "worklist_pops": 0,
-        }
+        gss_nodes = 1
+        gss_edges = sppf_nodes = sppf_families = 0
+        reductions = shifts = worklist_pops = 0
 
         try:
             raw = next(stream)
         except StopIteration:
             token, tid = eof_token, eof_tid
         else:
-            token = normalise_token(grammar, raw, position)
-            tid = sid_or_none(token.symbol)
+            token, tid = resolve_token(grammar, tok_cache, raw, position)
 
         try:
             while True:
                 # ---- reducer: apply every reduction visible under `tid` ----
-                worklist: deque = deque()
                 if tid is not None:
                     for node in frontier.values():
-                        for action in rows[node.state][tid]:
-                            if action.kind == "reduce":
-                                worklist.append((node, action.production, None))
+                        for prod_index in reduce_cells[node.state * width + tid]:
+                            push((node, prod_index, None))
                 while worklist:
                     if budget is not None:
                         budget.charge_parse_step()
-                    stats["worklist_pops"] += 1
-                    node, prod_index, first_edge = worklist.popleft()
-                    production = productions[prod_index]
-                    arity = len(production.rhs_sids)
-                    lhs_nt = production.lhs_sid - num_terminals
-                    paths: "List[Tuple[_GssNode, tuple]]" = []
+                    worklist_pops += 1
+                    node, prod_index, first_edge = pop()
+                    arity = arities[prod_index]
                     if arity == 0:
-                        paths.append((node, ()))
-                    elif first_edge is not None:
-                        _collect_paths(
-                            first_edge.target, arity - 1,
-                            (first_edge.label,), paths,
-                        )
+                        paths = [(node, ())]
                     else:
-                        _collect_paths(node, arity, (), paths)
-                    for base, labels_down in paths:
+                        paths = []
+                        if first_edge is not None:
+                            label, below = first_edge
+                            _collect_paths(below, arity - 1, (label,), paths)
+                        else:
+                            _collect_paths(node, arity, (), paths)
+                    production = productions[prod_index]
+                    lhs_nt = lhs_nts[prod_index]
+                    lhs_sid = lhs_nt + width
+                    for base, children in paths:
                         goto = goto_codes[base.state * n_nts + lhs_nt]
                         if goto < 0:
                             # A losing GSS branch can reduce to a symbol its
@@ -370,92 +378,68 @@ class GlrParser:
                             # simply dies (only *all* branches dying is a
                             # syntax error, detected at shift time).
                             continue
-                        key = (production.lhs_sid, base.level, position)
+                        key = (lhs_sid, base.level, position)
                         packed = sppf.get(key)
                         if packed is None:
-                            packed = SppfNode(production.lhs, base.level, position)
-                            sppf[key] = packed
-                            stats["sppf_nodes"] += 1
-                        # Edges are walked top-down, so the collected
-                        # labels are the rhs reversed.
-                        if packed.add_family(
-                            production, tuple(reversed(labels_down))
-                        ):
-                            stats["sppf_families"] += 1
-                        stats["reductions"] += 1
+                            packed = sppf[key] = SppfNode(
+                                production.lhs, base.level, position
+                            )
+                            sppf_nodes += 1
+                        if packed.add_family(production, children):
+                            sppf_families += 1
+                        reductions += 1
                         target = frontier.get(goto)
                         if target is None:
-                            target = _GssNode(goto, position)
-                            frontier[goto] = target
-                            stats["gss_nodes"] += 1
-                            target.edges.append(_GssEdge(packed, base))
-                            stats["gss_edges"] += 1
+                            target = frontier[goto] = _GssNode(goto, position)
+                            gss_nodes += 1
+                            target.edges.append((packed, base))
+                            gss_edges += 1
                             if base.level == position:
                                 base.has_level_parents = True
-                            for action in rows[goto][tid]:
-                                if action.kind == "reduce":
-                                    worklist.append(
-                                        (target, action.production, None)
-                                    )
+                            for next_prod in reduce_cells[goto * width + tid]:
+                                push((target, next_prod, None))
                             continue
-                        if any(
-                            edge.label is packed and edge.target is base
-                            for edge in target.edges
-                        ):
+                        new_edge = (packed, base)
+                        if new_edge in target.edges:
                             continue  # already explored through this edge
-                        new_edge = _GssEdge(packed, base)
                         target.edges.append(new_edge)
-                        stats["gss_edges"] += 1
+                        gss_edges += 1
                         if base.level == position:
                             base.has_level_parents = True
                         # The node was already processed: re-run the
-                        # reductions the new edge opens up (Farshi).  When
-                        # same-level parents exist, a path from *another*
-                        # stack top may thread through the new edge, so
-                        # conservatively re-run every frontier node; edge
-                        # and family dedup make the re-run idempotent.
+                        # non-ε reductions the new edge opens up (Farshi).
+                        # When same-level parents exist, a path from
+                        # *another* stack top may thread through the new
+                        # edge, so conservatively re-run every frontier
+                        # node; edge and family dedup make the re-run
+                        # idempotent.
                         if target.has_level_parents:
                             for renode in list(frontier.values()):
-                                for action in rows[renode.state][tid]:
-                                    if (
-                                        action.kind == "reduce"
-                                        and productions[action.production].rhs_sids
-                                    ):
-                                        worklist.append(
-                                            (renode, action.production, None)
-                                        )
+                                for next_prod in reduce_nonempty_cells[
+                                    renode.state * width + tid
+                                ]:
+                                    push((renode, next_prod, None))
                         else:
-                            for action in rows[target.state][tid]:
-                                if (
-                                    action.kind == "reduce"
-                                    and productions[action.production].rhs_sids
-                                ):
-                                    worklist.append(
-                                        (target, action.production, new_edge)
-                                    )
+                            for next_prod in reduce_nonempty_cells[
+                                target.state * width + tid
+                            ]:
+                                push((target, next_prod, new_edge))
 
                 # ---- accept -------------------------------------------------
                 if tid == eof_tid:
-                    accepted = any(
-                        action.kind == "accept"
-                        for node in frontier.values()
-                        for action in rows[node.state][tid]
-                    )
-                    if accepted:
-                        start_sid = sid_or_none(grammar.original_start)
-                        forest_root = sppf.get((start_sid, 0, position))
-                        return ParseForest(
-                            forest_root, grammar, position, stats
-                        )
-                    raise self._syntax_error(position, token, frontier, tid)
+                    for node in frontier.values():
+                        if accept_cells[node.state * width + tid]:
+                            break
+                    else:
+                        raise self._syntax_error(position, token, frontier, tid)
+                    break  # accepted: the forest is built below
 
                 # ---- shifter: every branch advances over the token ----------
                 shift_edges: "List[Tuple[_GssNode, int]]" = []
                 if tid is not None:
                     for node in frontier.values():
-                        for action in rows[node.state][tid]:
-                            if action.kind == "shift":
-                                shift_edges.append((node, action.state))
+                        for state in shift_cells[node.state * width + tid]:
+                            shift_edges.append((node, state))
                 if not shift_edges:
                     raise self._syntax_error(position, token, frontier, tid)
                 if budget is not None:
@@ -463,19 +447,18 @@ class GlrParser:
                 leaf = SppfNode(
                     token.symbol, position, position + 1, value=token.value
                 )
-                stats["sppf_nodes"] += 1
+                sppf_nodes += 1
                 next_frontier: "Dict[int, _GssNode]" = {}
                 for base, state in shift_edges:
                     if budget is not None:
                         budget.charge_parse_step()
                     target = next_frontier.get(state)
                     if target is None:
-                        target = _GssNode(state, position + 1)
-                        next_frontier[state] = target
-                        stats["gss_nodes"] += 1
-                    target.edges.append(_GssEdge(leaf, base))
-                    stats["gss_edges"] += 1
-                    stats["shifts"] += 1
+                        target = next_frontier[state] = _GssNode(state, position + 1)
+                        gss_nodes += 1
+                    target.edges.append((leaf, base))
+                    gss_edges += 1
+                    shifts += 1
                 frontier = next_frontier
                 position += 1
                 try:
@@ -483,15 +466,25 @@ class GlrParser:
                 except StopIteration:
                     token, tid = eof_token, eof_tid
                 else:
-                    token = normalise_token(grammar, raw, position)
-                    tid = sid_or_none(token.symbol)
+                    token, tid = resolve_token(grammar, tok_cache, raw, position)
         finally:
+            stats = {
+                "gss_nodes": gss_nodes,
+                "gss_edges": gss_edges,
+                "sppf_nodes": sppf_nodes,
+                "sppf_families": sppf_families,
+                "reductions": reductions,
+                "shifts": shifts,
+                "worklist_pops": worklist_pops,
+            }
             if budget is not None:
                 budget.publish()
             if instrument.enabled():
                 instrument.count("glr.tokens", position)
                 for name, value in stats.items():
                     instrument.count(f"glr.{name}", value)
+        start_sid = self._ids.sid_or_none(grammar.original_start)
+        return ParseForest(sppf.get((start_sid, 0, position)), grammar, position, stats)
 
     def _syntax_error(
         self, position: int, token: Token, frontier, tid: "Optional[int]"
@@ -529,12 +522,19 @@ class GlrParser:
 
 
 def _collect_paths(
-    node: _GssNode, remaining: int, acc: tuple, out: list
+    node: _GssNode, remaining: int, labels: tuple, out: list
 ) -> None:
-    """Every GSS path of *remaining* more edges from *node*, collected as
-    (base node, labels walked top-down)."""
-    if remaining == 0:
-        out.append((node, acc))
-        return
-    for edge in node.edges:
-        _collect_paths(edge.target, remaining - 1, acc + (edge.label,), out)
+    """Every GSS path of *remaining* more edges down from *node*, appended
+    to *out* as (base node, labels bottom-up, i.e. in RHS order) in
+    depth-first edge order.  Single-edge chains are walked in a loop;
+    only a fork recurses."""
+    while remaining:
+        edges = node.edges
+        if len(edges) != 1:
+            for label, below in edges:
+                _collect_paths(below, remaining - 1, (label,) + labels, out)
+            return
+        label, node = edges[0]
+        labels = (label,) + labels
+        remaining -= 1
+    out.append((node, labels))

@@ -67,17 +67,32 @@ def _display(name):
     return "end of input" if name == END else name
 
 
+class _Foreign(str):
+    """An input name spelled like the end marker.  It prints as itself
+    but equals no table key, so the driver rejects it like any name
+    outside the grammar instead of ending the parse early."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
 def _stream(tokens):
     # Lazily normalise the token iterable: tokens are pulled one at a
     # time, so unbounded generators work and peak memory stays
     # O(parse stack), never O(input length).  The end marker is appended
-    # without materialising the input.
+    # without materialising the input; read from the input, it is
+    # foreign.
     for token in tokens:
         if isinstance(token, str):
-            yield token, token
+            name, value = token, token
         else:
             name, value = token
-            yield name, value
+        if name == END:
+            name = _Foreign(name)
+        yield name, value
     yield END, None
 
 

@@ -22,6 +22,14 @@ Two deliberate choices:
   order, so a table reloaded from an artifact drives the GLR engine
   identically to a freshly built one.
 
+The engine does not read the ``Action`` tuples.  Once per table the
+view also flattens every cell into integer code tuples indexed by
+``state * num_terminals + terminal_id``, in the same canonical order:
+``reduce_cells`` (every reduce's production index), ``reduce_nonempty_cells``
+(the non-ε ones, which Farshi re-reduction re-runs), ``shift_cells``
+(target states) and ``accept_cells`` (a flag).  Clean cells with the
+same code share their tuples.
+
 The view works the same over a freshly built table and one loaded from
 either artifact format.
 """
@@ -44,6 +52,17 @@ def _cell_order(action: Action) -> "Tuple[int, int]":
     return (2, action.production)
 
 
+def _split(actions: "Tuple[Action, ...]", arities: "List[int]") -> tuple:
+    """One cell as (reduces, non-ε reduces, shift targets, accept flag)."""
+    reduces = tuple(a.production for a in actions if a.kind == "reduce")
+    return (
+        reduces,
+        tuple(p for p in reduces if arities[p]),
+        tuple(a.state for a in actions if a.kind == "shift"),
+        any(a.kind == "accept" for a in actions),
+    )
+
+
 class NondeterministicTable:
     """Per-cell action *tuples* merged from a table's rows + conflicts.
 
@@ -54,6 +73,12 @@ class NondeterministicTable:
             = syntax error); at most one cell per unresolved conflict
             holds more than one.
         conflict_cells: How many cells hold more than one action.
+        reduce_cells, reduce_nonempty_cells, shift_cells, accept_cells:
+            The same cells as integer codes, flat over
+            ``state * num_terminals + terminal_id`` (module docstring).
+        goto_codes: The table's ``goto_codes`` as a list.
+        arities, lhs_nts: Per production, the RHS length and the LHS
+            nonterminal index.
     """
 
     def __init__(self, table: ParseTable):
@@ -90,6 +115,27 @@ class NondeterministicTable:
             rows[state][tid] = tuple(sorted(bucket, key=_cell_order))
         self.rows = rows
         self.conflict_cells = len(merged)
+
+        self.goto_codes = table.goto_codes.tolist()
+        productions = self.grammar.productions
+        self.arities = arities = [len(p.rhs_sids) for p in productions]
+        self.lhs_nts = [p.lhs_sid - width for p in productions]
+        # Clean cells split once per distinct code; merged cells each.
+        by_code: "Dict[int, tuple]" = {}
+        cells: "List[tuple]" = []
+        for code in codes:
+            entry = by_code.get(code)
+            if entry is None:
+                entry = by_code[code] = _split(
+                    (decode(code),) if code else (), arities
+                )
+            cells.append(entry)
+        for state, tid in merged:
+            cells[state * width + tid] = _split(rows[state][tid], arities)
+        self.reduce_cells = [cell[0] for cell in cells]
+        self.reduce_nonempty_cells = [cell[1] for cell in cells]
+        self.shift_cells = [cell[2] for cell in cells]
+        self.accept_cells = [cell[3] for cell in cells]
 
     @property
     def n_states(self) -> int:
