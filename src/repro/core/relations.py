@@ -132,6 +132,9 @@ class LalrRelations:
         self._reads_view: "Dict[Transition, Tuple[Transition, ...]] | None" = None
         self._includes_view: "Dict[Transition, List[Transition]] | None" = None
         self._lookback_view: "Dict[ReductionSite, List[Transition]] | None" = None
+        # (dr_bits, lookback_edges) for stats(): summed on first use,
+        # carried and adjusted across splices.
+        self._totals: "Tuple[int, int] | None" = None
 
         self._budget = budget
         if budget is not None:
@@ -358,11 +361,17 @@ class LalrRelations:
     # -- reporting -----------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
+        totals = self._totals
+        if totals is None:
+            totals = self._totals = (
+                sum(self.vocabulary.count(m) for m in self.dr_masks),
+                sum(len(e) for e in self.lookback_nodes.values()),
+            )
         return {
             "nonterminal_transitions": self.n_nodes,
-            "dr_bits": sum(self.vocabulary.count(m) for m in self.dr_masks),
+            "dr_bits": totals[0],
             "reads_edges": len(self.reads_adj),
             "includes_edges": len(self.includes_adj),
-            "lookback_edges": sum(len(e) for e in self.lookback_nodes.values()),
+            "lookback_edges": totals[1],
             "reduction_sites": len(self.lookback_nodes),
         }

@@ -97,13 +97,19 @@ def splice_relations(
     new._reads_view = None
     new._includes_view = None
     new._lookback_view = None
+    new._totals = None
     new._budget = None
 
     with instrument.span("relations.splice"):
-        changed_reads = _splice_dr_and_reads(old, new, dirty)
-        changed_includes = _splice_includes_and_lookback(
+        changed_reads, dr_bits = _splice_dr_and_reads(old, new, dirty)
+        changed_includes, lookback_edges = _splice_includes_and_lookback(
             old, new, dirty, dirty_nonterminals
         )
+        if old._totals is not None:
+            # stats() totals, adjusted over the rewritten rows only.
+            new._totals = (
+                old._totals[0] + dr_bits, old._totals[1] + lookback_edges
+            )
         new.reads_reverse = _patch_reverse(
             old.reads_reverse,
             old.reads_offsets,
@@ -184,13 +190,14 @@ def _node_successors(relations: LalrRelations) -> "array":
 
 def _splice_dr_and_reads(
     old: LalrRelations, new: LalrRelations, dirty: bytearray
-) -> List[int]:
+) -> Tuple[List[int], int]:
     """Reuse every DR/reads row both of whose endpoint states are clean.
 
     Rows are copied in maximal clean *runs* (one C-level slice extend per
     run for masks, adjacency and shifted offsets) — the per-node Python
     work happens only at run boundaries, i.e. for the few rows an edit
-    actually dirtied.
+    actually dirtied.  Returns the changed rows and the change in the
+    total DR bit count.
     """
     states = new.automaton.states
     ids = new.ids
@@ -224,8 +231,10 @@ def _splice_dr_and_reads(
     offsets, adj = new.reads_offsets, new.reads_adj
     old_offsets, old_adj, old_dr = old.reads_offsets, old.reads_adj, old.dr_masks
     offsets.append(0)
+    count = new.vocabulary.count
     changed: List[int] = []
     recomputed = 0
+    dr_bits = 0
     i = 0
     while i < n_nodes:
         j = recompute.find(1, i)
@@ -256,15 +265,16 @@ def _splice_dr_and_reads(
                 adj.append(node_index[base + out_sid - num_terminals])
         dr_masks.append(mask)
         offsets.append(len(adj))
-        if mask != old_dr[j] or adj[row_start:] != old_adj[
-            old_offsets[j] : old_offsets[j + 1]
-        ]:
+        if mask != old_dr[j]:
+            dr_bits += count(mask) - count(old_dr[j])
+            changed.append(j)
+        elif adj[row_start:] != old_adj[old_offsets[j] : old_offsets[j + 1]]:
             changed.append(j)
         i = j + 1
     if instrument.enabled():
         instrument.count("phase.relations.rows_reused", n_nodes - recomputed)
         instrument.count("phase.relations.rows_recomputed", recomputed)
-    return changed
+    return changed, dr_bits
 
 
 def _splice_includes_and_lookback(
@@ -289,7 +299,8 @@ def _splice_includes_and_lookback(
     The lookback dict is shared object-for-object with *old* when no
     rewalked node's site list changed (the common case — relations are
     immutable once built); otherwise it is rebuilt from the patched site
-    memos in from-scratch order.
+    memos in from-scratch order.  Returns the changed includes rows and
+    the change in the total lookback edge count.
     """
     states = new.automaton.states
     grammar = new.grammar
@@ -316,6 +327,7 @@ def _splice_includes_and_lookback(
 
     rewalked: List[int] = []
     sites_changed = False
+    lookback_edges = 0
     for node, packed_id in enumerate(new.packed):
         source, lhs_nt_id = divmod(packed_id, num_nonterminals)
         if not dirty_nt_ids[lhs_nt_id] and dirty_states_set.isdisjoint(
@@ -359,6 +371,7 @@ def _splice_includes_and_lookback(
         walk_states[node] = node_states
         if node_sites != old_sites[node]:
             sites_changed = True
+            lookback_edges += len(node_sites) - len(old_sites[node])
     if instrument.enabled():
         instrument.count("phase.relations.walks_reused", n_nodes - len(rewalked))
         instrument.count("phase.relations.walks_rewalked", len(rewalked))
@@ -422,4 +435,4 @@ def _splice_includes_and_lookback(
         if merged != old_row:
             changed.append(j)
         i = j + 1
-    return changed
+    return changed, lookback_edges

@@ -25,15 +25,19 @@ full rebuild (counted as ``phase.fallback`` by the session).
 
 The edit constructors (:func:`replace_rhs`, :func:`add_production`,
 :func:`remove_production`) build the *edited* grammar the session
-expects: same :class:`SymbolTable`, fresh :class:`Production` objects,
-augmentation preserved (production 0 is never touched — indices here are
-the augmented grammar's).  Unknown right-hand-side names are interned as
-terminals, the arrow reader's convention for names never defined.
+expects: same :class:`SymbolTable`, augmentation preserved (production 0
+is never touched — indices here are the augmented grammar's).  Unknown
+right-hand-side names are interned as terminals, the arrow reader's
+convention for names never defined.  While no symbol has been interned
+since the original was built, the edited grammar shares its symbol-ID
+layout and every unchanged :class:`Production` object (with its bound
+IDs and cached fingerprint fragment), so an edit costs work in the rules
+it changes; an edit that interns a symbol gets all-fresh productions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
 from .grammar import Grammar
 from .production import Production
@@ -114,22 +118,23 @@ def classify(old: Grammar, new: Grammar) -> GrammarDelta:
         return GrammarDelta(DeltaKind.IDENTICAL, detail="same grammar object")
 
     old_ids, new_ids = old.ids, new.ids
-    if old_ids.num_terminals != new_ids.num_terminals or {
-        s.name for s in old_ids.terminals
-    } != {s.name for s in new_ids.terminals}:
-        return GrammarDelta(
-            DeltaKind.TERMINALS,
-            detail=(
-                f"terminal set changed "
-                f"({old_ids.num_terminals} -> {new_ids.num_terminals} terminals)"
-            ),
-        )
-    if old_ids.num_symbols != new_ids.num_symbols or any(
-        a is not b for a, b in zip(old_ids.by_sid, new_ids.by_sid)
-    ):
-        return GrammarDelta(
-            DeltaKind.STRUCTURAL, detail="symbol-ID layouts differ"
-        )
+    if old_ids is not new_ids:
+        if old_ids.num_terminals != new_ids.num_terminals or {
+            s.name for s in old_ids.terminals
+        } != {s.name for s in new_ids.terminals}:
+            return GrammarDelta(
+                DeltaKind.TERMINALS,
+                detail=(
+                    f"terminal set changed "
+                    f"({old_ids.num_terminals} -> {new_ids.num_terminals} terminals)"
+                ),
+            )
+        if old_ids.num_symbols != new_ids.num_symbols or any(
+            a is not b for a, b in zip(old_ids.by_sid, new_ids.by_sid)
+        ):
+            return GrammarDelta(
+                DeltaKind.STRUCTURAL, detail="symbol-ID layouts differ"
+            )
 
     if old.start is not new.start:
         return GrammarDelta(
@@ -142,8 +147,15 @@ def classify(old: Grammar, new: Grammar) -> GrammarDelta:
         )
 
     old_productions, new_productions = old.productions, new.productions
+    # Rules shared object-for-object (the edit constructors' output) are
+    # unchanged; only the others are compared.
+    differing = [
+        index
+        for index, (p, q) in enumerate(zip(old_productions, new_productions))
+        if p is not q
+    ]
     if len(old_productions) != len(new_productions) or any(
-        p.lhs is not q.lhs for p, q in zip(old_productions, new_productions)
+        old_productions[i].lhs is not new_productions[i].lhs for i in differing
     ):
         return GrammarDelta(
             DeltaKind.ADD_REMOVE,
@@ -155,8 +167,9 @@ def classify(old: Grammar, new: Grammar) -> GrammarDelta:
 
     changed = tuple(
         index
-        for index, (p, q) in enumerate(zip(old_productions, new_productions))
-        if p.rhs != q.rhs or p.prec_symbol is not q.prec_symbol
+        for index in differing
+        if old_productions[index].rhs != new_productions[index].rhs
+        or old_productions[index].prec_symbol is not new_productions[index].prec_symbol
     )
     if not changed:
         return GrammarDelta(DeltaKind.IDENTICAL, detail="no production changed")
@@ -188,23 +201,44 @@ def _resolve(grammar: Grammar, spec: SymbolSpec) -> Symbol:
     return grammar.symbols.terminal(spec)
 
 
-def _rebuild(
-    grammar: Grammar, productions: Sequence[Tuple[Symbol, Tuple[Symbol, ...], Optional[Symbol]]]
-) -> Grammar:
-    """A fresh Grammar over the same symbols/start/precedence/name."""
-    fresh = [
-        Production(index, lhs, rhs, prec_symbol)
-        for index, (lhs, rhs, prec_symbol) in enumerate(productions)
+def _rebuild(grammar: Grammar, productions: Sequence[Production]) -> Grammar:
+    """A Grammar over the same symbols/start/precedence/name.
+
+    *productions* mixes new rules with *grammar*'s own.  A rule of
+    *grammar* still at its index is shared when *grammar*'s layout is
+    current (nothing interned since); any other is copied fresh, since
+    binding it to a new layout would change *grammar* itself.
+    """
+    shared = grammar.ids.num_symbols == len(grammar.symbols)
+    rules = [
+        p if (shared or p.ids is None) and p.index == index
+        else Production(index, p.lhs, p.rhs, p.prec_symbol)
+        for index, p in enumerate(productions)
     ]
-    return Grammar(
-        grammar.symbols, fresh, grammar.start, grammar.precedence, grammar.name
+    fresh = [p for p in rules if p.ids is None]
+    edited = Grammar(
+        grammar.symbols, rules, grammar.start, grammar.precedence, grammar.name
     )
+    # Augmentation survives when the start rule is shared and no new
+    # rule mentions the augmented start: decided over the new rules only.
+    aug = grammar.start
+    if (
+        grammar.is_augmented
+        and rules[0] is grammar.productions[0]
+        and not any(p.lhs is aug or aug in p.rhs for p in fresh)
+    ):
+        edited.is_augmented = True
+    return edited
 
 
-def _parts(grammar: Grammar) -> "List[Tuple[Symbol, Tuple[Symbol, ...], Optional[Symbol]]]":
-    # Carrying prec_symbol explicitly preserves both %prec declarations
-    # and the rightmost-terminal defaults of untouched rules verbatim.
-    return [(p.lhs, p.rhs, p.prec_symbol) for p in grammar.productions]
+def _check_index(grammar: Grammar, index: int, verb: str) -> None:
+    if not 0 <= index < len(grammar.productions):
+        raise IndexError(
+            f"production index {index} out of range "
+            f"(0..{len(grammar.productions) - 1})"
+        )
+    if grammar.is_augmented and index == 0:
+        raise ValueError(f"refusing to {verb} the augmented start production")
 
 
 def replace_rhs(
@@ -216,18 +250,21 @@ def replace_rhs(
     """A copy of *grammar* with production *index*'s rhs replaced.
 
     *prec_symbol* ``None`` re-derives the rightmost-terminal default for
-    the new rhs (pass a symbol to pin an explicit ``%prec``).  Production
-    0 of an augmented grammar is refused — editing it would break the
-    augmentation invariant the whole pipeline relies on.
+    the new rhs (pass a symbol to pin an explicit ``%prec``).  An index
+    outside ``range(len(grammar.productions))`` raises IndexError (no
+    negative indexing).  Production 0 of an augmented grammar is refused
+    with ValueError — editing it would break the augmentation invariant
+    the whole pipeline relies on.
     """
-    if grammar.is_augmented and index == 0:
-        raise ValueError("refusing to edit the augmented start production")
-    parts = _parts(grammar)
-    lhs, _, _ = parts[index]
+    _check_index(grammar, index, "edit")
+    productions = list(grammar.productions)
     new_rhs = tuple(_resolve(grammar, spec) for spec in rhs)
     pinned = _resolve(grammar, prec_symbol) if prec_symbol is not None else None
-    parts[index] = (lhs, new_rhs, pinned or Production._rightmost_terminal(new_rhs))
-    return _rebuild(grammar, parts)
+    productions[index] = Production(
+        index, productions[index].lhs, new_rhs,
+        pinned or Production._rightmost_terminal(new_rhs),
+    )
+    return _rebuild(grammar, productions)
 
 
 def add_production(
@@ -241,17 +278,21 @@ def add_production(
     lhs_symbol = _resolve(grammar, lhs)
     if lhs_symbol.is_terminal:
         raise ValueError(f"left-hand side {lhs_symbol.name!r} is a terminal")
-    parts = _parts(grammar)
+    productions = list(grammar.productions)
     new_rhs = tuple(_resolve(grammar, spec) for spec in rhs)
     pinned = _resolve(grammar, prec_symbol) if prec_symbol is not None else None
-    parts.append((lhs_symbol, new_rhs, pinned or Production._rightmost_terminal(new_rhs)))
-    return _rebuild(grammar, parts)
+    productions.append(Production(
+        len(productions), lhs_symbol, new_rhs,
+        pinned or Production._rightmost_terminal(new_rhs),
+    ))
+    return _rebuild(grammar, productions)
 
 
 def remove_production(grammar: Grammar, index: int) -> Grammar:
-    """A copy of *grammar* without production *index* (``add-remove``)."""
-    if grammar.is_augmented and index == 0:
-        raise ValueError("refusing to remove the augmented start production")
-    parts = _parts(grammar)
-    del parts[index]
-    return _rebuild(grammar, parts)
+    """A copy of *grammar* without production *index* (``add-remove``).
+
+    The index is checked as in :func:`replace_rhs`."""
+    _check_index(grammar, index, "remove")
+    productions = list(grammar.productions)
+    del productions[index]
+    return _rebuild(grammar, productions)

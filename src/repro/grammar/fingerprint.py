@@ -3,8 +3,8 @@
 Three subsystems used to hash grammars independently: the table cache
 keyed entries on :func:`grammar_fingerprint` (then private to
 :mod:`repro.tables.serialize`), the fuzz corpus derived failure
-identities from the grammar's arrow text, and the incremental pipeline
-needs per-production content hashes to compose per-phase input keys.
+identities from the grammar's arrow text, and the incremental session
+keys its memo of superseded artifact bundles on the grammar digest.
 This module is the single source for all of them.
 
 Stability contracts:
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _encode
 from typing import List
 
 from .grammar import Grammar
@@ -39,6 +40,7 @@ __all__ = [
     "grammar_text",
     "production_fingerprint",
     "production_fingerprints",
+    "production_fragment",
     "text_fingerprint",
 ]
 
@@ -50,27 +52,48 @@ def grammar_fingerprint(grammar: Grammar) -> str:
     dense IDs are assigned re-keys every cached table, because the
     ID-indexed rows rebuilt at load time must match the layout the table
     was validated under.
+
+    The payload is the ``json.dumps(..., sort_keys=True)`` spelling of
+    ``{"id_layout", "precedence", "productions", "start"}``, assembled
+    from one cached fragment per rule (:func:`production_fragment`), so
+    a grammar that shares rules with an earlier one serialises only its
+    new rules.  The digest is cached on the (immutable) grammar.
     """
-    payload = {
-        "id_layout": ID_LAYOUT_VERSION,
-        "start": grammar.start.name,
-        "productions": [
-            [p.lhs.name, [s.name for s in p.rhs],
-             p.prec_symbol.name if p.prec_symbol else None]
-            for p in grammar.productions
-        ],
-        "precedence": sorted(
-            (s.name, prec.level, prec.assoc.value)
-            for s, prec in grammar.precedence.items()
-        ),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    cached = grammar.__dict__.get("_fingerprint")
+    if cached is not None and cached[0] == ID_LAYOUT_VERSION:
+        return cached[1]
+    precedence = sorted(
+        (s.name, prec.level, prec.assoc.value)
+        for s, prec in grammar.precedence.items()
+    )
+    blob = '{"id_layout": %s, "precedence": %s, "productions": [%s], "start": %s}' % (
+        json.dumps(ID_LAYOUT_VERSION),
+        json.dumps(precedence),
+        ", ".join([p.fragment or production_fragment(p) for p in grammar.productions]),
+        _encode(grammar.start.name),
+    )
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    grammar._fingerprint = (ID_LAYOUT_VERSION, digest)
+    return digest
 
 
 #: The in-memory session memo key is the same digest: one sha256 over one
 #: serialised blob, cheap enough to compute per edit.
 grammar_content_key = grammar_fingerprint
+
+
+def production_fragment(production: Production) -> str:
+    """The rule's JSON spelling ``[lhs, [rhs...], prec]``, as ``json.dumps``
+    writes it, cached on the (immutable) production."""
+    fragment = production.fragment
+    if fragment is None:
+        prec = production.prec_symbol
+        fragment = production.fragment = "[%s, [%s], %s]" % (
+            _encode(production.lhs.name),
+            ", ".join([_encode(s.name) for s in production.rhs]),
+            "null" if prec is None else _encode(prec.name),
+        )
+    return fragment
 
 
 def production_fingerprint(production: Production) -> str:
@@ -80,12 +103,7 @@ def production_fingerprint(production: Production) -> str:
     different positions yield the same per-rule digest, which is what the
     writer/reader roundtrip and delta diagnostics compare.
     """
-    payload = [
-        production.lhs.name,
-        [s.name for s in production.rhs],
-        production.prec_symbol.name if production.prec_symbol else None,
-    ]
-    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    return hashlib.sha256(production_fragment(production).encode()).hexdigest()
 
 
 def production_fingerprints(grammar: Grammar) -> List[str]:

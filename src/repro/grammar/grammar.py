@@ -58,6 +58,24 @@ class Precedence:
         return hash((self.level, self.assoc))
 
 
+def _layout(symbols: SymbolTable, productions: Sequence[Production]) -> SymbolIds:
+    """The layout of the first bound production when it is still current
+    for *symbols*, else a fresh snapshot.
+
+    A Symbol belongs to exactly one table and tables only grow, so a
+    layout that holds a symbol of *symbols* and has as many symbols as
+    *symbols* is the snapshot :class:`SymbolIds` would take now.
+    """
+    for production in productions:
+        ids = production.ids
+        if ids is not None:
+            lhs = production.lhs
+            if ids.num_symbols == len(symbols) and symbols.get(lhs.name) is lhs:
+                return ids
+            break
+    return SymbolIds(symbols)
+
+
 class Grammar:
     """An immutable-after-construction context-free grammar.
 
@@ -84,28 +102,29 @@ class Grammar:
         self.precedence: Dict[Symbol, Precedence] = dict(precedence or {})
         self.name = name
 
-        self._validate()
-
-        # Index: nonterminal -> its productions, in declaration order.
-        self._by_lhs: Dict[Symbol, List[Production]] = {nt: [] for nt in symbols.nonterminals}
-        for production in self.productions:
-            self._by_lhs[production.lhs].append(production)
-
         # Dense-ID layout snapshot (terminals 0..T-1, nonterminals
         # T..T+N-1) and the productions' ID mirrors.  Everything inside
         # the LR pipeline runs on these ints; Symbols only re-enter at
-        # the public API boundary.
-        self.ids = SymbolIds(self.symbols)
+        # the public API boundary.  Productions already bound to the
+        # layout were validated and bound by the grammar they come from.
+        self.ids = ids = _layout(symbols, self.productions)
+        unbound = [p for p in self.productions if p.ids is not ids]
+        self._validate(unbound)
+        for production in unbound:
+            production.bind_ids(ids)
+
+        # Index: nonterminal -> its productions, in declaration order.
+        self._by_lhs: Dict[Symbol, List[Production]] = {nt: [] for nt in ids.nonterminals}
         for production in self.productions:
-            production.bind_ids(self.ids)
+            self._by_lhs[production.lhs].append(production)
         # nt_id -> productions, the int-indexed twin of _by_lhs.
         self._by_lhs_ntid: List[List[Production]] = [
             self._by_lhs[nt] for nt in self.ids.nonterminals
         ]
 
-    def _validate(self) -> None:
-        table_symbols = set(self.symbols)
-        for production in self.productions:
+    def _validate(self, productions: Sequence[Production]) -> None:
+        table_symbols = set(self.symbols) if productions else ()
+        for production in productions:
             if production.lhs not in table_symbols:
                 raise ProductionError(f"production {production}: lhs not in symbol table")
             for symbol in production.rhs:
@@ -113,7 +132,7 @@ class Grammar:
                     raise ProductionError(
                         f"production {production}: rhs symbol {symbol.name!r} not in symbol table"
                     )
-        if self.start not in table_symbols:
+        if self.symbols.get(self.start.name) is not self.start:
             raise GrammarValidationError(f"start symbol {self.start.name!r} not in symbol table")
 
     # -- basic accessors ---------------------------------------------------

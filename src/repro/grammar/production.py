@@ -27,9 +27,15 @@ class Production:
             at construction (see :meth:`bind_ids`); the integer core
             walks ``rhs_sids`` (an ``array('i')``) instead of hashing
             the Symbol views.
+        ids: The :class:`~repro.grammar.symbols.SymbolIds` layout the
+            two mirrors were bound under (None until bound).
+        fragment: The rule's JSON fragment, filled on first use by
+            :mod:`repro.grammar.fingerprint` (None until then).
     """
 
-    __slots__ = ("index", "lhs", "rhs", "prec_symbol", "lhs_sid", "rhs_sids")
+    __slots__ = (
+        "index", "lhs", "rhs", "prec_symbol", "lhs_sid", "rhs_sids", "ids", "fragment",
+    )
 
     def __init__(
         self,
@@ -49,14 +55,20 @@ class Production:
         # Filled by the owning Grammar (bind_ids); -1 marks "unbound".
         self.lhs_sid: int = -1
         self.rhs_sids: Sequence[int] = ()
+        self.ids = None
+        self.fragment: Optional[str] = None
 
     def bind_ids(self, ids) -> None:
         """Record the dense-ID mirror of lhs/rhs under *ids* (a
         :class:`~repro.grammar.symbols.SymbolIds`).  Called by the owning
-        grammar; every Grammar constructor creates fresh Production
-        objects, so a production is bound to exactly one layout."""
+        grammar for productions not yet bound to its layout.  Grammars
+        share a production only under one layout (the edit constructors
+        of :mod:`repro.grammar.delta` reuse unchanged rules only while no
+        symbol has been interned), so a shared production is never
+        re-bound."""
         self.lhs_sid = ids.sid(self.lhs)
         self.rhs_sids = ids.sids(self.rhs)
+        self.ids = ids
 
     @staticmethod
     def _rightmost_terminal(rhs: Tuple[Symbol, ...]) -> Optional[Symbol]:

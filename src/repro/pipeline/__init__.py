@@ -2,9 +2,10 @@
 
 This package turns the one-shot pipeline (grammar → LR(0) → relations →
 Digraph → LA → table) into a **session**: phase artifacts are typed,
-keyed by composed content fingerprints, and kept current across grammar
-edits by recomputing only what an edit invalidated (see
-:mod:`repro.pipeline.session` for the full strategy taxonomy).
+bundled per grammar version, memoized under the grammar's content
+fingerprint, and kept current across grammar edits by recomputing only
+what an edit invalidated (see :mod:`repro.pipeline.session` for the
+full strategy taxonomy).
 
 Quick start::
 
@@ -24,7 +25,6 @@ unchanged and remain bit-for-bit identical; sessions are a strictly
 additive layer on top of the same phase functions.
 """
 
-from .fingerprint import PHASES, nonterminal_fingerprints, phase_fingerprints
 from .session import (
     SESSION_PHASES,
     AnalysisSession,
@@ -33,11 +33,8 @@ from .session import (
 )
 
 __all__ = [
-    "PHASES",
     "SESSION_PHASES",
     "AnalysisSession",
     "PhaseArtifacts",
     "UpdateReport",
-    "nonterminal_fingerprints",
-    "phase_fingerprints",
 ]

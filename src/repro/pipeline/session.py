@@ -22,9 +22,12 @@ the LALR(1) :class:`~repro.tables.table.ParseTable` — as one
   exactly this).
 
 Superseded artifact bundles go into a bounded in-memory memo keyed by
-:func:`~repro.pipeline.fingerprint.phase_fingerprints`, so toggling
+:func:`~repro.grammar.fingerprint.grammar_fingerprint`, so toggling
 between grammar versions (undo/redo, A/B experiments) restores whole
-bundles without recomputing anything.  When the session is given a
+bundles without recomputing anything.  The key's cost follows the edit
+too: the edit constructors share unchanged rules and their cached JSON
+fragments, so a one-rule edit serialises one rule, then hashes the
+joined fragments once.  When the session is given a
 :class:`~repro.tables.cache.TableCache`, full rebuilds read/write the
 on-disk table store as well (enable the cache's ``hot_capacity`` to keep
 hot tables in memory across sessions).
@@ -40,7 +43,7 @@ Reuse decisions surface through :mod:`repro.core.instrument` counters:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..automaton.lr0 import LR0Automaton
 from ..automaton.lr0_delta import IncrementalFallback, splice_lr0
@@ -49,11 +52,11 @@ from ..core.lalr import LalrAnalysis
 from ..core.relations import LalrRelations
 from ..core.relations_delta import splice_relations
 from ..grammar.delta import GrammarDelta, classify
+from ..grammar.fingerprint import grammar_fingerprint
 from ..grammar.grammar import Grammar
 from ..tables.build import build_lalr_table, refill_lalr_table
 from ..tables.cache import TableCache
 from ..tables.table import ParseTable
-from .fingerprint import phase_fingerprints
 
 __all__ = ["AnalysisSession", "PhaseArtifacts", "UpdateReport", "SESSION_PHASES"]
 
@@ -68,8 +71,9 @@ class PhaseArtifacts:
 
     Attributes:
         grammar: The (augmented) grammar the artifacts belong to.
-        fingerprints: Its per-phase input digests
-            (:func:`~repro.pipeline.fingerprint.phase_fingerprints`).
+        fingerprint: Its content digest
+            (:func:`~repro.grammar.fingerprint.grammar_fingerprint`),
+            the bundle's memo key.
         automaton: The LR(0) automaton.
         relations: The DeRemer–Pennello relations, with walk memos.
         analysis: The full look-ahead analysis (Read/Follow masks, SCC
@@ -79,7 +83,7 @@ class PhaseArtifacts:
 
     __slots__ = (
         "grammar",
-        "fingerprints",
+        "fingerprint",
         "automaton",
         "relations",
         "analysis",
@@ -89,14 +93,14 @@ class PhaseArtifacts:
     def __init__(
         self,
         grammar: Grammar,
-        fingerprints: Dict[str, str],
+        fingerprint: str,
         automaton: LR0Automaton,
         relations: LalrRelations,
         analysis: LalrAnalysis,
         table: ParseTable,
     ):
         self.grammar = grammar
-        self.fingerprints = fingerprints
+        self.fingerprint = fingerprint
         self.automaton = automaton
         self.relations = relations
         self.analysis = analysis
@@ -214,10 +218,6 @@ class AnalysisSession:
     def table(self) -> ParseTable:
         return self.artifacts.table
 
-    @property
-    def fingerprints(self) -> Dict[str, str]:
-        return self.artifacts.fingerprints
-
     # -- updates -------------------------------------------------------
 
     def update(self, grammar: Grammar) -> UpdateReport:
@@ -240,7 +240,7 @@ class AnalysisSession:
             instrument.count("phase.reuse", len(SESSION_PHASES))
             return UpdateReport(delta.kind, "noop", False, delta.detail)
 
-        key = phase_fingerprints(grammar)["grammar"]
+        key = grammar_fingerprint(grammar)
         memoized = self._memo.get(key)
         if memoized is not None and _same_layout(memoized.grammar, grammar):
             self._memo.move_to_end(key)
@@ -279,7 +279,7 @@ class AnalysisSession:
             )
         self._remember(old)
         self.artifacts = PhaseArtifacts(
-            grammar, phase_fingerprints(grammar), automaton, relations, analysis, table
+            grammar, grammar_fingerprint(grammar), automaton, relations, analysis, table
         )
         instrument.count("phase.reuse", len(SESSION_PHASES))
         return UpdateReport(
@@ -325,7 +325,7 @@ class AnalysisSession:
         instrument.count("phase.recompute", len(SESSION_PHASES))
         return PhaseArtifacts(
             grammar,
-            phase_fingerprints(grammar),
+            grammar_fingerprint(grammar),
             automaton,
             analysis.relations,
             analysis,
@@ -335,7 +335,7 @@ class AnalysisSession:
     def _remember(self, artifacts: PhaseArtifacts) -> None:
         if not self._memo_size:
             return
-        key = artifacts.fingerprints["grammar"]
+        key = artifacts.fingerprint
         self._memo[key] = artifacts
         self._memo.move_to_end(key)
         while len(self._memo) > self._memo_size:
@@ -347,6 +347,7 @@ def _same_layout(old: Grammar, new: Grammar) -> bool:
     the precondition for serving one's artifacts as the other's (the
     name-based fingerprint alone cannot see object identity)."""
     old_ids, new_ids = old.ids, new.ids
-    return old_ids.num_symbols == new_ids.num_symbols and all(
-        a is b for a, b in zip(old_ids.by_sid, new_ids.by_sid)
+    return old_ids is new_ids or (
+        old_ids.num_symbols == new_ids.num_symbols
+        and all(a is b for a, b in zip(old_ids.by_sid, new_ids.by_sid))
     )

@@ -506,3 +506,16 @@ class TestEditCommand:
     def test_bad_index_is_a_usage_error(self, capsys):
         assert main(["edit", "corpus:expr", "--set", "99: id"]) == 2
         assert "--set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["-7", "-1"])
+    def test_negative_set_index_is_a_usage_error(self, capsys, index):
+        # -7 would reach the augmented start production of expr.
+        assert main(["edit", "corpus:expr", f"--set={index}: id"]) == 2
+        err = capsys.readouterr().err
+        assert "--set" in err and "out of range" in err
+
+    @pytest.mark.parametrize("index", ["-7", "-1"])
+    def test_negative_remove_index_is_a_usage_error(self, capsys, index):
+        assert main(["edit", "corpus:expr", "--remove", index]) == 2
+        err = capsys.readouterr().err
+        assert "--remove" in err and "out of range" in err

@@ -134,3 +134,129 @@ class TestEditConstructors:
         assert [p.index for p in edited.productions] == list(
             range(len(edited.productions))
         )
+
+
+class TestIndexRange:
+    """Indices are positions in ``range(len(productions))``: a negative
+    index must not wrap round to the augmented start production (or
+    silently to the last rule)."""
+
+    # The augmented expression grammar has 7 rules: -7 names production
+    # 0, the augmented start production; -1 names the last rule.
+    @pytest.mark.parametrize("index", [-7, -6, -1])
+    def test_replace_rejects_negative_indices(self, grammar, index):
+        assert len(grammar.productions) == 7
+        with pytest.raises(IndexError):
+            replace_rhs(grammar, index, ["id"])
+
+    @pytest.mark.parametrize("index", [-7, -6, -1])
+    def test_remove_rejects_negative_indices(self, grammar, index):
+        with pytest.raises(IndexError):
+            remove_production(grammar, index)
+
+    def test_past_the_end_is_an_index_error(self, grammar):
+        with pytest.raises(IndexError):
+            replace_rhs(grammar, len(grammar.productions), ["id"])
+        with pytest.raises(IndexError):
+            remove_production(grammar, len(grammar.productions))
+
+    def test_rejected_edit_interns_nothing(self, grammar):
+        symbols = len(grammar.symbols)
+        with pytest.raises(IndexError):
+            replace_rhs(grammar, -1, ["never_seen"])
+        assert len(grammar.symbols) == symbols
+
+    def test_plain_grammar_may_edit_production_zero(self):
+        plain = load_grammar(EXPR)
+        edited = replace_rhs(plain, 0, ["T"])
+        assert [s.name for s in edited.productions[0].rhs] == ["T"]
+        with pytest.raises(IndexError):
+            replace_rhs(plain, -1, ["T"])
+
+
+class TestSharing:
+    """Edits over an unchanged layout share the parent's unchanged rules
+    and its symbol-ID layout; nothing about the parent changes."""
+
+    @staticmethod
+    def _bindings(grammar):
+        return [
+            (p.ids, p.lhs_sid, list(p.rhs_sids)) for p in grammar.productions
+        ]
+
+    def test_rhs_edit_shares_unchanged_rules_and_layout(self, grammar):
+        arrays = [p.rhs_sids for p in grammar.productions]
+        edited = replace_rhs(grammar, 6, ["("])
+        assert edited.ids is grammar.ids
+        # Shared rules are not bound again: their ID arrays are the same
+        # objects.
+        assert all(
+            p.rhs_sids is before
+            for p, before in zip(grammar.productions, arrays)
+        )
+        for index, (p, q) in enumerate(
+            zip(grammar.productions, edited.productions)
+        ):
+            assert (p is q) == (index != 6)
+        assert edited.productions[6].ids is grammar.ids
+
+    def test_building_an_edit_leaves_the_parent_bound_as_it_was(self, grammar):
+        before = self._bindings(grammar)
+        replace_rhs(grammar, 6, ["("])
+        remove_production(grammar, 3)
+        add_production(grammar, "F", ["id", "id"])
+        assert self._bindings(grammar) == before
+
+    def test_remove_shares_only_rules_that_keep_their_index(self, grammar):
+        edited = remove_production(grammar, 3)
+        assert edited.ids is grammar.ids
+        for index, production in enumerate(edited.productions):
+            assert production.index == index
+            assert (production is grammar.productions[index]) == (index < 3)
+
+    def test_add_shares_every_existing_rule(self, grammar):
+        edited = add_production(grammar, "F", ["id", "id"])
+        assert edited.ids is grammar.ids
+        assert all(
+            p is q for p, q in zip(grammar.productions, edited.productions)
+        )
+
+    def test_new_terminal_gets_fresh_rules_and_layout(self, grammar):
+        edited = replace_rhs(grammar, 6, ["brand_new_terminal"])
+        assert edited.ids is not grammar.ids
+        assert not any(
+            p is q for p, q in zip(grammar.productions, edited.productions)
+        )
+        # The layout after interning differs, and the parent's rules kept
+        # the IDs of the parent's layout.
+        assert all(p.ids is grammar.ids for p in grammar.productions)
+        assert all(q.ids is edited.ids for q in edited.productions)
+
+    def test_new_terminal_leaves_the_parent_and_its_parses_unchanged(self, grammar):
+        from repro.parser import Parser
+        from repro.tables import build_lalr_table
+
+        sentences = [["id", "+", "id", "*", "id"], ["(", "id", ")"], ["id", "+"]]
+
+        def outcomes(g):
+            parser = Parser(build_lalr_table(g))
+            return [parser.accepts(s) for s in sentences]
+
+        before_ids = self._bindings(grammar)
+        before = outcomes(grammar)
+        edited = replace_rhs(grammar, 6, ["brand_new_terminal"])
+        assert self._bindings(grammar) == before_ids
+        assert outcomes(grammar) == before == [True, True, False]
+        # Edits of the parent after the interning can no longer share
+        # its layout, and still leave it alone.
+        again = replace_rhs(grammar, 5, ["(", "E", ")"])
+        assert again.ids is not grammar.ids
+        assert self._bindings(grammar) == before_ids
+        assert outcomes(edited)[0] is False
+
+    def test_chained_edits_keep_one_layout(self, grammar):
+        current = grammar
+        for index, rhs in ((6, ["("]), (4, ["F", "*", "F"]), (2, ["F"])):
+            current = replace_rhs(current, index, rhs)
+            assert current.ids is grammar.ids
+        assert classify(grammar, current).changed == (2, 4, 6)

@@ -193,3 +193,69 @@ class TestCorpusEditChains:
                 current = edited
                 break  # one terminal position per production keeps this fast
         assert session.updates > 0
+
+
+class TestSpliceRelationCounters:
+    """A splice publishes ``relations.*`` from totals carried across the
+    edit, not from a recount; they must equal a from-scratch ``stats()``.
+
+    Both ways of getting the parent's totals are covered: counted when
+    the session opened under a profile, or counted on first use."""
+
+    @staticmethod
+    def _chain(base):
+        terminals = [t for t in base.terminals if t is not base.eof]
+        current = base
+        for index, production in enumerate(base.productions):
+            if index == 0:
+                continue
+            for position, symbol in enumerate(production.rhs):
+                if symbol.is_terminal:
+                    replacement = terminals[(index + position) % len(terminals)]
+                    current = replace_rhs(
+                        current,
+                        index,
+                        [replacement if i == position else s
+                         for i, s in enumerate(production.rhs)],
+                    )
+                    yield current
+                    break
+
+    @pytest.mark.parametrize("profiled_open", [True, False])
+    @pytest.mark.parametrize("name", ["expr", "json", "mini_pascal_det", "toy_java"])
+    def test_counters_match_a_fresh_count(self, name, profiled_open):
+        base = corpus.load(name).augmented()
+        if profiled_open:
+            with instrument.profile():
+                session = AnalysisSession(base, memo_size=0)
+        else:
+            session = AnalysisSession(base, memo_size=0)
+        spliced = 0
+        for edited in self._chain(base):
+            with instrument.profile() as collector:
+                report = session.update(edited)
+            if report.strategy == "noop":
+                continue
+            fresh = LalrAnalysis(
+                session.grammar, LR0Automaton(session.grammar)
+            ).relations.stats()
+            published = {
+                key.split(".", 1)[1]: value
+                for key, value in collector.counters.items()
+                if key.startswith("relations.")
+            }
+            assert published == fresh
+            assert session.relations.stats() == fresh
+            spliced += report.strategy == "splice"
+        assert spliced >= 2
+
+
+class TestMemoKey:
+    def test_bundles_are_keyed_by_the_grammar_fingerprint(self, grammar):
+        from repro.grammar.fingerprint import grammar_fingerprint
+
+        session = AnalysisSession(grammar)
+        edited = replace_rhs(grammar, 1, ["E", "*", "T"])
+        session.update(edited)
+        assert session.artifacts.fingerprint == grammar_fingerprint(edited)
+        assert list(session._memo) == [grammar_fingerprint(grammar)]

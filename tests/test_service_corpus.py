@@ -262,6 +262,32 @@ class TestJobsAndSessions:
         assert second["strategies"]["noop"] == 1
         assert second["strategies"]["splice"] == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"op": "set", "index": -7, "rhs": "id"},
+            {"op": "set", "index": -1, "rhs": "id"},
+            {"op": "set", "index": 7, "rhs": "id"},
+            {"op": "set", "index": 0, "rhs": "E"},
+            {"op": "remove", "index": -7},
+            {"op": "remove", "index": -1},
+        ],
+    )
+    def test_out_of_range_edit_is_422(self, client, edit):
+        # -7 is production 0 of the 7-rule augmented expression grammar:
+        # it must be refused like index 0, not re-augment the grammar.
+        opened = client.post(
+            "/analyze", {"session": "bounds", "corpus": "expr"}
+        ).json()
+        response = client.post(
+            "/analyze", {"session": "bounds", "edits": [edit]}
+        )
+        assert response.status == 422
+        assert response.json()["error"] == "bad_edit"
+        after = client.post("/analyze", {"session": "bounds"}).json()
+        assert after["states"] == opened["states"] == 13
+        assert after["strategies"] == opened["strategies"]
+
     def test_unknown_session_is_404(self, client):
         response = client.post("/analyze", {"session": "never-opened"})
         assert response.status == 404
