@@ -204,31 +204,18 @@ def _resolve(grammar: Grammar, spec: SymbolSpec) -> Symbol:
 def _rebuild(grammar: Grammar, productions: Sequence[Production]) -> Grammar:
     """A Grammar over the same symbols/start/precedence/name.
 
-    *productions* mixes new rules with *grammar*'s own.  A rule of
-    *grammar* still at its index is shared when *grammar*'s layout is
-    current (nothing interned since); any other is copied fresh, since
-    binding it to a new layout would change *grammar* itself.
+    *productions* mixes new rules with *grammar*'s own.  A rule still at
+    its index is passed as is (the :class:`Grammar` constructor shares it
+    when *grammar*'s layout is still current and copies it otherwise); a
+    rule whose index shifted is copied here.
     """
-    shared = grammar.ids.num_symbols == len(grammar.symbols)
     rules = [
-        p if (shared or p.ids is None) and p.index == index
-        else Production(index, p.lhs, p.rhs, p.prec_symbol)
+        p if p.index == index else Production(index, p.lhs, p.rhs, p.prec_symbol)
         for index, p in enumerate(productions)
     ]
-    fresh = [p for p in rules if p.ids is None]
-    edited = Grammar(
+    return Grammar(
         grammar.symbols, rules, grammar.start, grammar.precedence, grammar.name
     )
-    # Augmentation survives when the start rule is shared and no new
-    # rule mentions the augmented start: decided over the new rules only.
-    aug = grammar.start
-    if (
-        grammar.is_augmented
-        and rules[0] is grammar.productions[0]
-        and not any(p.lhs is aug or aug in p.rhs for p in fresh)
-    ):
-        edited.is_augmented = True
-    return edited
 
 
 def _check_index(grammar: Grammar, index: int, verb: str) -> None:

@@ -40,7 +40,6 @@ __all__ = [
     "grammar_text",
     "production_fingerprint",
     "production_fingerprints",
-    "production_fragment",
     "text_fingerprint",
 ]
 
@@ -55,9 +54,9 @@ def grammar_fingerprint(grammar: Grammar) -> str:
 
     The payload is the ``json.dumps(..., sort_keys=True)`` spelling of
     ``{"id_layout", "precedence", "productions", "start"}``, assembled
-    from one cached fragment per rule (:func:`production_fragment`), so
-    a grammar that shares rules with an earlier one serialises only its
-    new rules.  The digest is cached on the (immutable) grammar.
+    from one JSON fragment per rule, cached on the :class:`Production`,
+    so a grammar that shares rules with an earlier one serialises only
+    its new rules.  The digest is cached on the (immutable) grammar.
     """
     cached = grammar.__dict__.get("_fingerprint")
     if cached is not None and cached[0] == ID_LAYOUT_VERSION:
@@ -69,7 +68,7 @@ def grammar_fingerprint(grammar: Grammar) -> str:
     blob = '{"id_layout": %s, "precedence": %s, "productions": [%s], "start": %s}' % (
         json.dumps(ID_LAYOUT_VERSION),
         json.dumps(precedence),
-        ", ".join([p.fragment or production_fragment(p) for p in grammar.productions]),
+        ", ".join([p.fragment or _fragment(p) for p in grammar.productions]),
         _encode(grammar.start.name),
     )
     digest = hashlib.sha256(blob.encode()).hexdigest()
@@ -82,7 +81,7 @@ def grammar_fingerprint(grammar: Grammar) -> str:
 grammar_content_key = grammar_fingerprint
 
 
-def production_fragment(production: Production) -> str:
+def _fragment(production: Production) -> str:
     """The rule's JSON spelling ``[lhs, [rhs...], prec]``, as ``json.dumps``
     writes it, cached on the (immutable) production."""
     fragment = production.fragment
@@ -103,7 +102,7 @@ def production_fingerprint(production: Production) -> str:
     different positions yield the same per-rule digest, which is what the
     writer/reader roundtrip and delta diagnostics compare.
     """
-    return hashlib.sha256(production_fragment(production).encode()).hexdigest()
+    return hashlib.sha256(_fragment(production).encode()).hexdigest()
 
 
 def production_fingerprints(grammar: Grammar) -> List[str]:

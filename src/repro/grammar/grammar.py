@@ -97,7 +97,6 @@ class Grammar:
         if not productions:
             raise GrammarValidationError("grammar has no productions")
         self.symbols = symbols
-        self.productions: Tuple[Production, ...] = tuple(productions)
         self.start = start
         self.precedence: Dict[Symbol, Precedence] = dict(precedence or {})
         self.name = name
@@ -106,9 +105,16 @@ class Grammar:
         # T..T+N-1) and the productions' ID mirrors.  Everything inside
         # the LR pipeline runs on these ints; Symbols only re-enter at
         # the public API boundary.  Productions already bound to the
-        # layout were validated and bound by the grammar they come from.
-        self.ids = ids = _layout(symbols, self.productions)
-        unbound = [p for p in self.productions if p.ids is not ids]
+        # layout were validated and bound by the grammar they come from
+        # and are shared; one bound to another layout belongs to another
+        # grammar and is copied, never re-bound.
+        self.ids = ids = _layout(symbols, productions)
+        self.productions: Tuple[Production, ...] = tuple(
+            p if p.ids is None or p.ids is ids
+            else Production(p.index, p.lhs, p.rhs, p.prec_symbol)
+            for p in productions
+        )
+        unbound = [p for p in self.productions if p.ids is None]
         self._validate(unbound)
         for production in unbound:
             production.bind_ids(ids)

@@ -61,11 +61,10 @@ class Production:
     def bind_ids(self, ids) -> None:
         """Record the dense-ID mirror of lhs/rhs under *ids* (a
         :class:`~repro.grammar.symbols.SymbolIds`).  Called by the owning
-        grammar for productions not yet bound to its layout.  Grammars
-        share a production only under one layout (the edit constructors
-        of :mod:`repro.grammar.delta` reuse unchanged rules only while no
-        symbol has been interned), so a shared production is never
-        re-bound."""
+        grammar for productions not yet bound to any layout.  Grammars
+        share a production only under one layout (the constructor copies
+        a production bound to another layout), so a shared production is
+        never re-bound."""
         self.lhs_sid = ids.sid(self.lhs)
         self.rhs_sids = ids.sids(self.rhs)
         self.ids = ids

@@ -254,6 +254,20 @@ class TestSharing:
         assert self._bindings(grammar) == before_ids
         assert outcomes(edited)[0] is False
 
+    def test_constructor_copies_rules_bound_to_another_layout(self, grammar):
+        from repro.grammar import Grammar
+
+        before = self._bindings(grammar)
+        grammar.symbols.terminal("brand_new_terminal")
+        other = Grammar(grammar.symbols, grammar.productions, grammar.start)
+        assert other.ids is not grammar.ids
+        assert not any(
+            p is q for p, q in zip(grammar.productions, other.productions)
+        )
+        assert all(q.ids is other.ids for q in other.productions)
+        assert self._bindings(grammar) == before
+        assert other.is_augmented
+
     def test_chained_edits_keep_one_layout(self, grammar):
         current = grammar
         for index, rhs in ((6, ["("]), (4, ["F", "*", "F"]), (2, ["F"])):

@@ -21,7 +21,6 @@ from repro.grammar.fingerprint import (
     grammar_text,
     production_fingerprint,
     production_fingerprints,
-    production_fragment,
     text_fingerprint,
 )
 from repro.grammar.symbols import ID_LAYOUT_VERSION
@@ -280,7 +279,6 @@ class TestFragments:
             [production.lhs.name, [s.name for s in production.rhs],
              production.prec_symbol.name if production.prec_symbol else None]
         )
-        assert production_fragment(production) == expected
         assert production_fingerprint(production) == hashlib.sha256(
             expected.encode()
         ).hexdigest()
