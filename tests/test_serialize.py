@@ -356,3 +356,216 @@ class TestFormatBump:
             fingerprint.ID_LAYOUT_VERSION + 1,
         )
         assert grammar_fingerprint(grammar) != before
+
+
+def _set(path, value):
+    """A mutation that sets ``data[k0][k1]...[kn] = value``."""
+
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return mutate
+
+
+def _delete(key):
+    def mutate(data):
+        del data[key]
+
+    return mutate
+
+
+def _truncate_gotos(data):
+    data["gotos"] = data["gotos"][:-1]
+
+
+_CELL = ("actions", 0, "id")
+_CELL_PAIR = [["s", 5], ["r", 2]]
+
+#: One malformed expr/lalr1 payload per error path of the JSON loader,
+#: with the exact TableCacheError message it must raise.
+MALFORMED_ARTIFACTS = [
+    ("wrong-format", _set(("format",), 3), "unsupported table format 3"),
+    ("missing-format", _delete("format"), "unsupported table format None"),
+    (
+        "fingerprint-mismatch",
+        _set(("fingerprint",), "0" * 64),
+        "grammar fingerprint mismatch: the table was built from a different "
+        "grammar (rebuild instead of loading the cache)",
+    ),
+    (
+        "nonterminal-in-action-row",
+        _set(("actions", 0, "E"), ["s", 1]),
+        "malformed table payload: nonterminal 'E' in ACTION row 0",
+    ),
+    (
+        "terminal-in-goto-row",
+        _set(("gotos", 0, "id"), 1),
+        "malformed table payload: terminal 'id' in GOTO row 0",
+    ),
+    (
+        "shift-target-out-of-range",
+        _set(_CELL, ["s", 13]),
+        "malformed table payload: shift target 13 out of range in ACTION row 0",
+    ),
+    (
+        "negative-shift-target",
+        _set(_CELL, ["s", -1]),
+        "malformed table payload: shift target -1 out of range in ACTION row 0",
+    ),
+    (
+        "reduce-production-out-of-range",
+        _set(_CELL, ["r", 7]),
+        "malformed table payload: reduce production 7 out of range in "
+        "ACTION row 0",
+    ),
+    (
+        "goto-target-out-of-range",
+        _set(("gotos", 0, "E"), 13),
+        "malformed table payload: GOTO target 13 out of range in row 0",
+    ),
+    (
+        "boolean-goto-target",
+        _set(("gotos", 0, "E"), True),
+        "malformed table payload: GOTO target True out of range in row 0",
+    ),
+    (
+        "string-goto-target",
+        _set(("gotos", 0, "E"), "1"),
+        "malformed table payload: GOTO target '1' out of range in row 0",
+    ),
+    (
+        "row-count-mismatch",
+        _truncate_gotos,
+        "malformed table payload: 13 ACTION rows but 12 GOTO rows",
+    ),
+    (
+        "truncated-actions",
+        _delete("actions"),
+        "truncated or malformed table payload: 'actions'",
+    ),
+    (
+        "truncated-gotos",
+        _delete("gotos"),
+        "truncated or malformed table payload: 'gotos'",
+    ),
+    (
+        "truncated-method",
+        _delete("method"),
+        "truncated or malformed table payload: 'method'",
+    ),
+    (
+        "row-not-an-object",
+        _set(("actions", 3), []),
+        "truncated or malformed table payload: 'list' object has no "
+        "attribute 'items'",
+    ),
+    (
+        "unknown-symbol",
+        _set(("actions", 0, "nope"), ["s", 1]),
+        "truncated or malformed table payload: unknown symbol 'nope'",
+    ),
+    (
+        "unknown-action-kind",
+        _set(_CELL, ["x", 1]),
+        "unknown action encoding ['x', 1]",
+    ),
+    (
+        "overlong-action",
+        _set(_CELL, ["s", 5, 6]),
+        "unknown action encoding ['s', 5, 6]",
+    ),
+    (
+        "non-integer-shift-target",
+        _set(_CELL, ["s", "5"]),
+        "unknown action encoding ['s', '5']",
+    ),
+    (
+        "conflicted-cell",
+        _set(_CELL, _CELL_PAIR),
+        "unknown action encoding [['s', 5], ['r', 2]]",
+    ),
+    ("empty-action", _set(_CELL, []), "unknown action encoding []"),
+    (
+        "scalar-action",
+        _set(_CELL, 5),
+        "truncated or malformed table payload: 'int' object is not subscriptable",
+    ),
+    (
+        "short-conflict-record",
+        _set(("conflicts",), [[0, "id", "shift/reduce"]]),
+        "malformed conflict record [0, 'id', 'shift/reduce']",
+    ),
+    (
+        "unknown-conflict-kind",
+        _set(("conflicts",), [[0, "id", "maybe", _CELL_PAIR, ["s", 5], False]]),
+        "malformed conflict record [0, 'id', 'maybe', [['s', 5], ['r', 2]], "
+        "['s', 5], False]",
+    ),
+    (
+        "non-boolean-conflict-flag",
+        _set(("conflicts",), [[0, "id", "shift/reduce", _CELL_PAIR, None, 0]]),
+        "malformed conflict record [0, 'id', 'shift/reduce', [['s', 5], "
+        "['r', 2]], None, 0]",
+    ),
+    (
+        "non-integer-conflict-state",
+        _set(("conflicts",), [["0", "id", "shift/reduce", _CELL_PAIR, None, True]]),
+        "malformed conflict record ['0', 'id', 'shift/reduce', [['s', 5], "
+        "['r', 2]], None, True]",
+    ),
+    (
+        "unknown-conflict-terminal",
+        _set(("conflicts",), [[0, "nope", "shift/reduce", _CELL_PAIR, None, True]]),
+        "truncated or malformed table payload: unknown symbol 'nope'",
+    ),
+    (
+        "bad-conflict-action",
+        _set(("conflicts",), [[0, "id", "shift/reduce", [["q"]], None, False]]),
+        "unknown action encoding ['q']",
+    ),
+    (
+        "conflicts-not-a-list",
+        _set(("conflicts",), 5),
+        "truncated or malformed table payload: 'int' object is not iterable",
+    ),
+]
+
+
+class TestMalformedArtifactCorpus:
+    """Every way a JSON artifact can be malformed raises TableCacheError
+    with one exact message, so rewriting the loader cannot silently
+    change what a damaged artifact reports."""
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [case[1:] for case in MALFORMED_ARTIFACTS],
+        ids=[case[0] for case in MALFORMED_ARTIFACTS],
+    )
+    def test_exact_message(self, mutate, message):
+        grammar = corpus.load("expr", augment=True)
+        data = table_to_dict(build_lalr_table(grammar))
+        mutate(data)
+        with pytest.raises(TableCacheError) as caught:
+            table_from_dict(data, grammar)
+        assert str(caught.value) == message
+
+    def test_payload_not_an_object(self):
+        grammar = corpus.load("expr", augment=True)
+        with pytest.raises(TableCacheError) as caught:
+            table_from_dict(["nope"], grammar)
+        assert str(caught.value) == "table payload is list, not an object"
+
+    def test_unparseable_file(self, tmp_path):
+        grammar = corpus.load("expr", augment=True)
+        path = tmp_path / "table.json"
+        text = '{"format": 4, "acti'
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as parse_error:
+            json.loads(text)
+        with pytest.raises(TableCacheError) as caught:
+            load_table(str(path), grammar)
+        assert str(caught.value) == (
+            f"corrupt table file {str(path)!r}: {parse_error.value}"
+        )
