@@ -113,9 +113,7 @@ def scaleout_snapshot(grammars: "Sequence[str]" = DEFAULT_GRAMMARS) -> Dict:
         cache_dir = tempfile.mkdtemp(prefix="repro-bench-scaleout-")
         try:
             with ServiceThread(
-                cache_dir=cache_dir,
-                cache_backend="bin",
-                pool_workers=pool_workers,
+                cache_dir=cache_dir, pool_workers=pool_workers
             ) as thread:
                 bodies, elapsed, total = _drive(thread.port, grammars)
                 counters: "Dict[str, int]" = {

@@ -90,7 +90,7 @@ def _budget_from(args) -> "Optional[Budget]":
 def _table_for(grammar: Grammar, args, budget: "Optional[Budget]" = None) -> "tuple":
     """(table, cache) for a table-building command, honouring --cache."""
     cache_dir = getattr(args, "cache", None)
-    cache = TableCache(cache_dir, backend=getattr(args, "format", "json")) if cache_dir else None
+    cache = TableCache(cache_dir) if cache_dir else None
     _, table = build_table(grammar, getattr(args, "method", "lalr1"), cache, budget)
     return table, cache
 
@@ -195,7 +195,7 @@ def _cmd_table(grammar: Grammar, args) -> int:
     if args.output:
         # Conflicted tables serialize too (JSON format 4 / binary format
         # 3 carry the full conflict log for the GLR engine's nondet view).
-        as_binary = args.format == "bin" or args.output.endswith(BINARY_SUFFIX)
+        as_binary = args.output.endswith(BINARY_SUFFIX)
         if as_binary:
             written = save_binary_table(table, args.output)
         else:
@@ -518,12 +518,12 @@ def _batch_worker(task: "tuple") -> dict:
     Module-level and built from picklable plain data so the parallel
     executor can ship it to forked workers unchanged.
     """
-    path, method, cache_dir, backend = task
+    path, method, cache_dir = task
     from .grammar.errors import GrammarError
 
     try:
         grammar = load_grammar_file(path)
-        cache = TableCache(cache_dir, backend=backend) if cache_dir else None
+        cache = TableCache(cache_dir) if cache_dir else None
         _, table = build_table(grammar, method, cache)
     except (GrammarError, OSError, ValueError) as error:
         return {"path": path, "status": "error", "detail": str(error)}
@@ -567,7 +567,7 @@ def _cmd_batch(_, args) -> int:
     paths = [path for path in paths if os.path.isfile(path)]
     if not paths:
         return _usage_error(f"no grammar files found in {args.directory}")
-    tasks = [(path, args.method, args.cache, args.format) for path in paths]
+    tasks = [(path, args.method, args.cache) for path in paths]
     rows = parallel_map(_batch_worker, tasks, workers=args.workers)
     errors = conflicted = 0
     for row in rows:
@@ -595,7 +595,6 @@ def _cmd_serve(_, args) -> int:
 
     service = GrammarService(
         cache_dir=args.cache,
-        cache_backend=args.format,
         hot_capacity=args.hot,
         job_workers=args.job_workers,
         queue_capacity=args.queue,
@@ -657,13 +656,8 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                 "--cache", nargs="?", const=default_cache_dir(), default="",
                 metavar="DIR",
                 help="load/store the parse table in an on-disk cache "
-                     "(default DIR: $REPRO_TABLE_CACHE or the system tmp)",
-            )
-            command.add_argument(
-                "--format", choices=["json", "bin"], default="json",
-                help="table artifact format: readable JSON or the "
-                     "versioned binary layout (loaded as a verified "
-                     "copy, no JSON parse on the hot path)",
+                     "of binary .rtb entries (default DIR: "
+                     "$REPRO_TABLE_CACHE or the system tmp)",
             )
         command.set_defaults(fn=fn)
         return command
@@ -691,8 +685,8 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                                 "'displace' (comb-packed check/value arrays)")
     table_cmd.add_argument("--output", "-o", default="", metavar="FILE",
                            help="write the table artifact to FILE "
-                                "(binary when --format bin or FILE ends "
-                                "in .rtb, else JSON)")
+                                "(binary when FILE ends in .rtb, else a "
+                                "JSON export)")
 
     states_cmd = add("states", _cmd_states)
     states_cmd.add_argument("--kernel", action="store_true")
@@ -769,9 +763,6 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                            help="load/store parse tables in an on-disk cache "
                                 "(default DIR: $REPRO_TABLE_CACHE or the "
                                 "system tmp)")
-    batch_cmd.add_argument("--format", choices=["json", "bin"], default="json",
-                           help="cache artifact format (JSON or versioned "
-                                "binary)")
     batch_cmd.add_argument("--profile", action="store_true",
                            help="print a per-phase timing/counter breakdown")
     batch_cmd.add_argument("--profile-json", default="", metavar="FILE",
@@ -790,9 +781,10 @@ def main(argv: "Optional[List[str]]" = None) -> int:
                            help="the shared table-artifact store backing "
                                 "every request (default: $REPRO_TABLE_CACHE "
                                 "or the system tmp; '' disables)")
-    serve_cmd.add_argument("--format", choices=["json", "bin"], default="json",
-                           help="cache artifact format (JSON or versioned "
-                                "binary)")
+    serve_cmd.add_argument("--format", choices=["bin"], default="bin",
+                           help="compatibility spelling that selects "
+                                "nothing: the store holds only binary .rtb "
+                                "entries")
     serve_cmd.add_argument("--hot", type=int, default=32, metavar="N",
                            help="in-memory hot-table LRU capacity, also the "
                                 "grammar-handle memo's (default 32)")

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Dict, List, Optional
 
 from ..grammar.reader import load_grammar
+from ..tables.serialize import atomic_write
 from .oracles import OracleFailure, run_oracles
 
 #: Bumped when the entry schema changes incompatibly.
@@ -216,16 +216,7 @@ class FailureCorpus:
 
     def _write(self, path: str, entry: FailureEntry) -> None:
         os.makedirs(self.directory, exist_ok=True)
-        descriptor, temp_path = tempfile.mkstemp(
-            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=self.directory
+        atomic_write(
+            path,
+            lambda handle: json.dump(entry.to_dict(), handle, indent=2, sort_keys=True),
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry.to_dict(), handle, indent=2, sort_keys=True)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise

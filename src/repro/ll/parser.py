@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from ..grammar.symbols import Symbol
-from ..parser.engine import Token, TokenLike
+from ..parser.engine import Token, TokenLike, normalise_token
 from ..parser.errors import ParseError
 from ..parser.tree import Node
 from .analysis import Ll1Analysis
@@ -32,24 +31,9 @@ class LlParser:
         self.grammar = analysis.grammar
         self._eof = self.grammar.eof
 
-    def _normalise(self, token: TokenLike, position: int) -> Token:
-        if isinstance(token, Token):
-            return token
-        if isinstance(token, Symbol):
-            return Token(token, token.name)
-        if isinstance(token, str):
-            symbol = self.grammar.symbols.get(token)
-            if symbol is None or symbol.is_nonterminal:
-                raise ParseError(
-                    f"unknown terminal {token!r} at position {position}",
-                    position, None, state=-1, expected=[],
-                )
-            return Token(symbol, token)
-        raise TypeError(f"cannot interpret token {token!r}")
-
     def parse(self, tokens: Iterable[TokenLike]) -> Node:
         """Parse and return the tree rooted at the user's start symbol."""
-        stream = [self._normalise(t, i) for i, t in enumerate(tokens)]
+        stream = [normalise_token(self.grammar, t, i) for i, t in enumerate(tokens)]
         stream.append(Token(self._eof, None))
         position = 0
 

@@ -343,8 +343,8 @@ def execute(
 def _batch_compile_worker(task: tuple) -> dict:
     """One batch-job grammar, as a plain picklable row (runs in a forked
     worker when the job asks for ``workers > 1``)."""
-    spec, method, cache_dir, backend = task
-    cache = TableCache(cache_dir, backend=backend) if cache_dir else None
+    spec, method, cache_dir = task
+    cache = TableCache(cache_dir) if cache_dir else None
     try:
         grammar = _grammar_from_spec(spec)
         row = compile_result(grammar, method, cache)
@@ -356,9 +356,7 @@ def _batch_compile_worker(task: tuple) -> dict:
     return row
 
 
-def batch_result(
-    payload: dict, cache_dir: str = "", backend: str = "json"
-) -> dict:
+def batch_result(payload: dict, cache_dir: str = "") -> dict:
     """``repro batch`` semantics as a job: compile every grammar spec,
     fanned across processes, sharing the on-disk artifact store."""
     from ..core.parallel import parallel_map
@@ -368,7 +366,7 @@ def batch_result(
         raise HttpError(400, "bad_batch", "'batch' must be a non-empty list")
     method = _method_of(payload)
     workers = int(payload.get("workers", 1))
-    tasks = [(spec, method, cache_dir, backend) for spec in specs]
+    tasks = [(spec, method, cache_dir) for spec in specs]
     rows = parallel_map(_batch_compile_worker, tasks, workers=workers)
     errors = sum(1 for row in rows if row["status"] == "error")
     conflicted = sum(1 for row in rows if row["status"] == "conflicted")
@@ -419,9 +417,9 @@ class GrammarService:
     """Shared state and request handling for one serving process.
 
     Args:
-        cache_dir: Directory of the shared table-artifact store (empty
-            disables disk caching; the hot LRU needs the cache too).
-        cache_backend: ``"json"`` or ``"bin"`` artifacts.
+        cache_dir: Directory of the shared table-artifact store of
+            binary ``.rtb`` entries (empty disables disk caching; the
+            hot LRU needs the cache too).
         hot_capacity: In-memory hot-table LRU size, and the size of
             each process's :class:`GrammarHandles` memo.
         job_workers: Concurrent jobs (and the job executor's threads).
@@ -440,7 +438,6 @@ class GrammarService:
     def __init__(
         self,
         cache_dir: str = "",
-        cache_backend: str = "json",
         hot_capacity: int = 32,
         job_workers: int = 2,
         queue_capacity: int = 16,
@@ -449,12 +446,11 @@ class GrammarService:
         job_ttl: float = 3600.0,
     ):
         self.cache = (
-            TableCache(cache_dir, backend=cache_backend, hot_capacity=hot_capacity)
+            TableCache(cache_dir, hot_capacity=hot_capacity)
             if cache_dir
             else None
         )
         self.cache_dir = cache_dir
-        self.cache_backend = cache_backend
         self.handles = GrammarHandles(hot_capacity)
         self.metrics = MetricsRegistry()
         self.jobs = JobQueue(
@@ -466,7 +462,6 @@ class GrammarService:
             self.pool = WorkerPool(
                 pool_workers,
                 cache_dir=cache_dir,
-                cache_backend=cache_backend,
                 hot_capacity=hot_capacity,
                 absorb=self._absorb_worker,
             )
@@ -770,9 +765,7 @@ class GrammarService:
         if job.kind == "fuzz":
             return fuzz_result(job.payload)
         if job.kind == "batch":
-            return batch_result(
-                job.payload, cache_dir=self.cache_dir, backend=self.cache_backend
-            )
+            return batch_result(job.payload, cache_dir=self.cache_dir)
         if job.kind == "compile":
             if self.pool is not None and self.pool.alive:
                 # Async compile jobs ride the same pool as sync requests;

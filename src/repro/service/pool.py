@@ -6,8 +6,8 @@ GIL serializes onto one core.  :class:`WorkerPool` moves that work into
 
 - **Shared table store.**  Each worker opens its own
   :class:`~repro.tables.TableCache` over the *same* sharded on-disk
-  store the parent uses, so a table is built once for the whole pool.
-  With the ``bin`` backend a worker loads the RPTB artifact
+  store the parent uses, so a table is built once for the whole pool,
+  and a worker loads its binary ``.rtb`` artifact
   (:mod:`repro.tables.binfmt`) as a verified copy in microseconds.
 - **Deterministic routing.**  Every worker has its own inbox and the
   parent round-robins requests across them, so K requests land
@@ -76,7 +76,6 @@ def _worker_main(
     inbox,
     outbox,
     cache_dir: str,
-    backend: str,
     hot_capacity: int,
 ) -> None:
     """The forked worker loop: pull, execute, ship (result, counters)."""
@@ -84,7 +83,7 @@ def _worker_main(
     from .app import GrammarHandles, execute
 
     cache = (
-        TableCache(cache_dir, backend=backend, hot_capacity=hot_capacity)
+        TableCache(cache_dir, hot_capacity=hot_capacity)
         if cache_dir
         else None
     )
@@ -137,8 +136,6 @@ class WorkerPool:
         workers: Worker process count (>= 1).
         cache_dir: The shared on-disk table store ("" disables caching
             in the workers; they still execute, just without artifacts).
-        cache_backend: ``"json"`` or ``"bin"`` (``bin`` loads without a
-            JSON parse).
         hot_capacity: Per-worker in-memory hot-table LRU size, and the
             size of each worker's grammar-handle memo.
         absorb: ``absorb(worker_id, counters)`` callback invoked on the
@@ -150,7 +147,6 @@ class WorkerPool:
         self,
         workers: int,
         cache_dir: str = "",
-        cache_backend: str = "json",
         hot_capacity: int = 8,
         absorb: "Optional[Callable[[int, Dict[str, int]], None]]" = None,
     ):
@@ -158,7 +154,6 @@ class WorkerPool:
             raise ValueError("WorkerPool needs at least one worker")
         self.workers = workers
         self.cache_dir = cache_dir
-        self.cache_backend = cache_backend
         self.hot_capacity = hot_capacity
         self._absorb = absorb
         self._ctx = multiprocessing.get_context("fork")
@@ -192,7 +187,6 @@ class WorkerPool:
                     inbox,
                     self._outbox,
                     self.cache_dir,
-                    self.cache_backend,
                     self.hot_capacity,
                 ),
                 name=f"repro-pool-{worker_id}",

@@ -2,7 +2,7 @@
 
 from .build import BUILDERS, build_clr_table, build_lalr_table, build_lr0_table
 from .build import build_slr_table, build_table
-from .cache import BACKENDS, TableCache, default_cache_dir
+from .cache import TableCache, default_cache_dir
 from .serialize import (
     TableCacheError,
     load_table,
@@ -32,7 +32,6 @@ __all__ = [
     "ACCEPT",
     "Accept",
     "Action",
-    "BACKENDS",
     "BINARY_FORMAT_VERSION",
     "BINARY_SUFFIX",
     "BUILDERS",

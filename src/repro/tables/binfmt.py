@@ -1,9 +1,8 @@
-"""Versioned binary parse-table format — the fast startup path.
+"""Versioned binary parse-table format — the table cache's one format.
 
-JSON table entries (:mod:`repro.tables.serialize`) pay a full parse +
-Symbol-dict reconstruction on every load.  This module stores a table's
-code arrays as they are, plus the full conflict log, resolved and
-unresolved alike:
+The JSON export (:mod:`repro.tables.serialize`) pays a full text parse
+on every load.  This module stores a table's code arrays as they are,
+plus the full conflict log, resolved and unresolved alike:
 
 - a fixed header (magic, format version, ID-layout version, dimensions,
   a CRC-32 of the payload) plus the grammar fingerprint and method name;
@@ -21,16 +20,13 @@ truncated or replaced after the load cannot disturb it.
 Every defect — bad magic, foreign format or ID-layout version, grammar
 fingerprint mismatch, truncation, payload corruption (CRC), dimension
 mismatch — raises :class:`~repro.tables.serialize.TableCacheError`, so
-the cache layer treats binary entries exactly like JSON ones: evict and
-rebuild, never crash.
+the cache layer evicts the entry and rebuilds, never crashes.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
-import tempfile
 import zlib
 from array import array
 from typing import List
@@ -38,7 +34,7 @@ from typing import List
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import ID_LAYOUT_VERSION
 from .conflicts import Conflict
-from .serialize import TableCacheError, grammar_fingerprint
+from .serialize import TableCacheError, atomic_write, grammar_fingerprint
 from .table import ActionDecoder, ParseTable, encode_action
 
 __all__ = [
@@ -60,7 +56,8 @@ __all__ = [
 #: cannot represent them, so both directions evict and rebuild.
 BINARY_FORMAT_VERSION = 3
 
-#: File extension the cache uses to select the binary backend.
+#: File extension of binary artifacts: the cache's entries, and the
+#: ``repro table --output`` name that selects binary over a JSON export.
 BINARY_SUFFIX = ".rtb"
 
 _MAGIC = b"RPTB"
@@ -243,24 +240,11 @@ def _decode_conflict_section(flat, grammar: Grammar) -> "List[Conflict]":
 
 
 def save_binary_table(table: ParseTable, path: str) -> int:
-    """Write *table* to *path* in the binary format, atomically (temp
-    file + ``os.replace``, mirroring the JSON writer).  Returns the
-    artifact size in bytes."""
+    """Write *table* to *path* in the binary format, atomically
+    (:func:`~repro.tables.serialize.atomic_write`).  Returns the artifact
+    size in bytes."""
     blob = table_to_bytes(table)
-    directory = os.path.dirname(os.path.abspath(path))
-    descriptor, temp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(blob)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, lambda handle: handle.write(blob), binary=True)
     return len(blob)
 
 

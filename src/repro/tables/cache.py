@@ -4,27 +4,31 @@ Production parser generators never rebuild tables on every run; they
 persist them and key the cache on a hash of the grammar, so application
 startup is a single file read.  :class:`TableCache` is that layer:
 
-- **Keying**: ``<method>-<grammar fingerprint><suffix>`` — a changed
+- **One format**: every entry is the versioned binary artifact of
+  :mod:`repro.tables.binfmt` (``.rtb``), loaded as a verified copy with
+  no text parse.  For the larger grammars an entry is bigger than the
+  table's JSON export (algol_like: 50165 against 21514 bytes), but it
+  loads 20–45× faster, and start-up latency is what the cache is for.
+  JSON stays an export format (``repro table --output x.json``).
+- **Keying**: ``<method>-<grammar fingerprint>.rtb`` — a changed
   grammar changes the fingerprint, so stale entries are simply never
   looked up (and a fingerprint mismatch inside the file is treated as a
-  miss too).  The suffix selects the **backend**: ``.json`` (readable)
-  or ``.rtb`` (versioned binary, loaded without a JSON parse on
-  the hot path).
-- **Crash safety**: writes go through :func:`~repro.tables.serialize
-  .save_table` (temp file + ``os.replace``), so the cache never holds a
-  torn file.  Reads that hit a corrupt or truncated entry (a crash from
-  a pre-atomic writer, disk damage, a concurrent truncation) count a
-  ``table.cache.corrupt`` event, delete the bad entry, and **rebuild
-  instead of crashing** — the cache is an accelerator, never a new
-  failure mode.
+  miss too).
+- **Crash safety**: writes go through :func:`~repro.tables.binfmt
+  .save_binary_table` (temp file + ``os.replace``), so the cache never
+  holds a torn file.  Reads that hit a corrupt or truncated entry (a
+  crash from a pre-atomic writer, disk damage, a concurrent truncation)
+  count a ``table.cache.corrupt`` event, delete the bad entry, and
+  **rebuild instead of crashing** — the cache is an accelerator, never
+  a new failure mode.
 - **Observability**: every hit/miss/corrupt/store event, and every
   failed store (disk full, read-only directory: the caller still gets
   its freshly built table), both increments instance counters and flows through :mod:`repro.core.instrument`, so a
   ``--profile`` run shows cache behaviour next to phase timings.
 
-Tables with unresolved conflicts are cacheable like any other (JSON
-format 4 / binary format 3 carry the full conflict log), so GLR-bound
-tables get the same warm-start path as deterministic ones.
+Tables with unresolved conflicts are cacheable like any other (binary
+format 3 carries the full conflict log), so GLR-bound tables get the
+same warm-start path as deterministic ones.
 """
 
 from __future__ import annotations
@@ -38,15 +42,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core import instrument
 from ..grammar.grammar import Grammar
 from .binfmt import BINARY_SUFFIX, load_binary_table, save_binary_table
-from .serialize import TableCacheError, grammar_fingerprint, load_table, save_table
+from .serialize import TableCacheError, grammar_fingerprint
 from .table import ParseTable
 
 __all__ = ["TableCache", "default_cache_dir"]
-
-#: Cache storage backends mapped to their file suffix.  ``json`` is the
-#: readable debugging-friendly format; ``bin`` is the versioned binary
-#: artifact of :mod:`repro.tables.binfmt`, loaded as a verified copy.
-BACKENDS = {"json": ".json", "bin": BINARY_SUFFIX}
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_TABLE_CACHE"
@@ -68,9 +67,9 @@ class TableCache:
 
     Args:
         directory: Where entries live; created lazily on first store.
-        backend: ``"json"`` (default) or ``"bin"`` — which serialisation
-            new entries use.  Loads dispatch on the *file* extension, so
-            a cache directory can hold a mix of both.
+        backend: A compatibility spelling that selects nothing: only
+            ``"bin"``, the one format, is accepted.
+        hot_capacity: Size of the in-memory LRU of loaded tables (0 = off).
 
     Attributes:
         hits / misses / corrupt / stores / store_failures: Event
@@ -78,14 +77,13 @@ class TableCache:
             instrumentation layer as ``table.cache.*``).
     """
 
-    def __init__(self, directory: str, backend: str = "json", hot_capacity: int = 0):
-        if backend not in BACKENDS:
+    def __init__(self, directory: str, backend: str = "bin", hot_capacity: int = 0):
+        if backend != "bin":
             raise ValueError(
-                f"unknown cache backend {backend!r} (known: {sorted(BACKENDS)})"
+                f"unknown cache backend {backend!r}: the store holds only "
+                f"binary artifacts ('bin')"
             )
         self.directory = directory
-        self.backend = backend
-        self.suffix = BACKENDS[backend]
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -120,7 +118,7 @@ class TableCache:
         return os.path.join(
             self.directory,
             fingerprint[:2],
-            f"{method}-{fingerprint[:32]}{self.suffix}",
+            f"{method}-{fingerprint[:32]}{BINARY_SUFFIX}",
         )
 
     # -- read / write ---------------------------------------------------
@@ -144,11 +142,10 @@ class TableCache:
                 instrument.count("table.cache.hot_hits")
                 return table
         path = self._path(method, fingerprint)
-        loader = load_binary_table if path.endswith(BINARY_SUFFIX) else load_table
         started = time.perf_counter_ns()
         with instrument.span("table.cache.load"):
             try:
-                table = loader(path, grammar)
+                table = load_binary_table(path, grammar)
             except FileNotFoundError:
                 self.misses += 1
                 instrument.count("table.cache.misses")
@@ -180,11 +177,7 @@ class TableCache:
         with instrument.span("table.cache.store"):
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                if path.endswith(BINARY_SUFFIX):
-                    written = save_binary_table(table, path)
-                else:
-                    save_table(table, path)
-                    written = os.path.getsize(path)
+                written = save_binary_table(table, path)
             except OSError:
                 self.store_failures += 1
                 instrument.count("table.cache.store_failures")
@@ -239,7 +232,6 @@ class TableCache:
     def entry_paths(self) -> "List[str]":
         """Every entry file currently on disk, shard by shard — how tests
         assert an aborted build stored nothing."""
-        suffixes = tuple(BACKENDS.values())
         try:
             names = sorted(os.listdir(self.directory))
         except (FileNotFoundError, NotADirectoryError):
@@ -251,7 +243,7 @@ class TableCache:
                 paths.extend(
                     os.path.join(shard, entry)
                     for entry in sorted(os.listdir(shard))
-                    if entry.endswith(suffixes)
+                    if entry.endswith(BINARY_SUFFIX)
                 )
         return paths
 

@@ -1,8 +1,9 @@
-"""Parse-table (de)serialisation — the generator's cache format.
+"""Parse-table JSON export — the readable artifact next to ``.rtb``.
 
-Real parser generators persist their tables so application startup skips
-the construction.  :func:`table_to_dict` / :func:`table_from_dict` give a
-JSON-safe round-trip for any LR(0)-based table, guarded by a **grammar
+The table cache stores the binary artifact of :mod:`repro.tables.binfmt`;
+this module is the readable export (``repro table --output x.json``).
+:func:`table_to_dict` / :func:`table_from_dict` give a JSON-safe
+round-trip for any LR(0)-based table, guarded by a **grammar
 fingerprint**: loading against a grammar whose rules changed raises
 instead of silently mis-parsing.
 
@@ -21,13 +22,21 @@ import json
 import os
 import tempfile
 from array import array
-from typing import Dict, List
+from typing import IO, Callable, Dict, List
 
 from ..grammar.errors import SymbolError
 from ..grammar.fingerprint import grammar_fingerprint
 from ..grammar.grammar import Grammar
 from .conflicts import Conflict
-from .table import ACCEPT, ACTION_ERROR, Action, ParseTable, Reduce, Shift, encode_action
+from .table import (
+    ACTION_ACCEPT,
+    ACTION_ERROR,
+    ACTION_REDUCE,
+    ACTION_SHIFT,
+    Action,
+    ActionDecoder,
+    ParseTable,
+)
 
 #: Bumped to 2 with the integer-interned symbol core: tables now carry
 #: dense ID-indexed rows derived from the grammar's ID layout, so
@@ -65,6 +74,7 @@ __all__ = [
     "grammar_fingerprint",
     "table_to_dict",
     "table_from_dict",
+    "atomic_write",
     "save_table",
     "load_table",
 ]
@@ -78,21 +88,23 @@ def _encode_action(action: Action) -> "List":
     return ["a"]
 
 
-def _decode_action(encoded: "List") -> Action:
+def _action_code(encoded: "List") -> int:
+    """The integer code (see :mod:`repro.tables.table`) of one encoded
+    action."""
     kind = encoded[0] if encoded else None
     if kind == "s" and len(encoded) == 2 and isinstance(encoded[1], int):
-        return Shift(encoded[1])
+        return (encoded[1] << 2) | ACTION_SHIFT
     if kind == "r" and len(encoded) == 2 and isinstance(encoded[1], int):
-        return Reduce(encoded[1])
+        return (encoded[1] << 2) | ACTION_REDUCE
     if kind == "a" and len(encoded) == 1:
-        return ACCEPT
+        return ACTION_ACCEPT
     # Anything else — including a *list* of actions, the way a future
     # format might carry a conflicted cell — is rejected outright: a
     # loaded table must never claim conflict-freedom it does not have.
     raise TableCacheError(f"unknown action encoding {encoded!r}")
 
 
-def _decode_conflict(encoded: "List", symbols) -> Conflict:
+def _decode_conflict(encoded: "List", symbols, decoder: ActionDecoder) -> Conflict:
     """One ``conflicts`` record back into a Conflict (resolved or not)."""
     if not isinstance(encoded, list) or len(encoded) != 6:
         raise TableCacheError(f"malformed conflict record {encoded!r}")
@@ -107,8 +119,8 @@ def _decode_conflict(encoded: "List", symbols) -> Conflict:
         state,
         symbols[terminal_name],
         kind,
-        [_decode_action(action) for action in actions],
-        None if chosen is None else _decode_action(chosen),
+        [decoder.decode(_action_code(action)) for action in actions],
+        None if chosen is None else decoder.decode(_action_code(chosen)),
         resolved_by_precedence=resolved,
     )
 
@@ -151,9 +163,12 @@ def table_to_dict(table: ParseTable) -> Dict:
 def table_from_dict(data: Dict, grammar: Grammar) -> ParseTable:
     """Rebuild a ParseTable against *grammar*, verifying the fingerprint.
 
-    Raises :class:`TableCacheError` on any structural defect (wrong
-    format version, fingerprint mismatch, truncated or malformed rows) so
-    callers can treat every failure mode uniformly as "rebuild".
+    Each row is checked and written straight into the table's code
+    arrays; only the conflict log is decoded into :class:`Action`
+    objects.  Raises :class:`TableCacheError` on any structural defect
+    (wrong format version, fingerprint mismatch, truncated or malformed
+    rows, a symbol of the wrong kind, an out-of-range target) so callers
+    can treat every failure mode uniformly as "rebuild".
     """
     if not isinstance(data, dict):
         raise TableCacheError(f"table payload is {type(data).__name__}, not an object")
@@ -167,81 +182,89 @@ def table_from_dict(data: Dict, grammar: Grammar) -> ParseTable:
         )
     symbols = grammar.symbols
     try:
-        actions = [
-            {symbols[name]: _decode_action(encoded) for name, encoded in row.items()}
-            for row in data["actions"]
-        ]
-        gotos = [
-            {symbols[name]: target for name, target in row.items()}
-            for row in data["gotos"]
-        ]
+        action_rows = list(data["actions"])
+        goto_rows = list(data["gotos"])
         method = data["method"]
+        if len(action_rows) != len(goto_rows):
+            raise TableCacheError(
+                f"malformed table payload: {len(action_rows)} ACTION rows but "
+                f"{len(goto_rows)} GOTO rows"
+            )
+        action_codes = _action_codes(action_rows, grammar)
+        goto_codes = _goto_codes(goto_rows, grammar)
+        decoder = ActionDecoder()
         conflicts = [
-            _decode_conflict(encoded, symbols)
+            _decode_conflict(encoded, symbols, decoder)
             for encoded in data.get("conflicts", [])
         ]
     except TableCacheError:
         raise
     except (KeyError, TypeError, AttributeError, IndexError, SymbolError) as error:
         raise TableCacheError(f"truncated or malformed table payload: {error}") from error
-    _validate_rows(actions, gotos, grammar)
-    # The dense rows stay single-winner (_validate_rows just proved at
-    # most one action per terminal); unresolved entries in the carried
-    # conflict log are what make the loaded table report
-    # is_deterministic=False and fuel the GLR engine's nondet view.
-    ids = grammar.ids
-    width, n_nts = ids.num_terminals, ids.num_nonterminals
-    action_codes = array("i", [ACTION_ERROR]) * (len(actions) * width)
-    goto_codes = array("i", [-1]) * (len(gotos) * n_nts)
-    for state, (action_row, goto_row) in enumerate(zip(actions, gotos)):
-        for terminal, action in action_row.items():
-            action_codes[state * width + ids.terminal_id(terminal)] = encode_action(action)
-        for nonterminal, target in goto_row.items():
-            goto_codes[state * n_nts + ids.nonterminal_id(nonterminal)] = target
+    # The dense rows stay single-winner (a JSON object holds at most one
+    # action per terminal); unresolved entries in the carried conflict
+    # log are what make the loaded table report is_deterministic=False
+    # and fuel the GLR engine's nondet view.
     return ParseTable(grammar, method, action_codes, goto_codes, conflicts)
 
 
-def _validate_rows(
-    actions: "List[Dict]", gotos: "List[Dict]", grammar: Grammar
-) -> None:
-    """Reject structurally invalid rows a syntactically well-formed
-    payload can still carry: symbols of the wrong kind in a row,
-    out-of-range targets, duplicate actions folded onto one terminal.
-
-    Each check raises :class:`TableCacheError` so every failure mode
-    stays uniformly "evict and rebuild" for the cache layers.
-    """
-    if len(actions) != len(gotos):
-        raise TableCacheError(
-            f"malformed table payload: {len(actions)} ACTION rows but "
-            f"{len(gotos)} GOTO rows"
+def _misplaced(grammar: Grammar, name: str, row: str, state: int) -> TableCacheError:
+    """The error for *name* in an ``"ACTION"``/``"GOTO"`` *row* that has
+    no column for it (SymbolError for a name the grammar never had)."""
+    symbol = grammar.symbols[name]
+    if symbol.is_terminal == (row == "ACTION"):  # right kind, other layout
+        return TableCacheError(
+            f"malformed table payload: {name!r} is not in the grammar's symbol layout"
         )
-    n_states = len(actions)
+    kind = "terminal" if symbol.is_terminal else "nonterminal"
+    return TableCacheError(
+        f"malformed table payload: {kind} {name!r} in {row} row {state}"
+    )
+
+
+def _action_codes(rows: "List[Dict]", grammar: Grammar) -> array:
+    """The ACTION rows as ``action_codes``, each cell checked."""
+    terminals = grammar.ids.terminals
+    width = len(terminals)
+    terminal_id = {terminal.name: tid for tid, terminal in enumerate(terminals)}
+    n_states = len(rows)
     n_productions = len(grammar.productions)
-    for state, row in enumerate(actions):
-        for symbol, action in row.items():
-            if symbol.is_nonterminal:
+    codes = array("i", [ACTION_ERROR]) * (n_states * width)
+    for state, row in enumerate(rows):
+        base = state * width
+        for name, encoded in row.items():
+            tid = terminal_id.get(name)
+            if tid is None:
+                raise _misplaced(grammar, name, "ACTION", state)
+            code = _action_code(encoded)
+            tag = code & 3
+            if tag == ACTION_SHIFT and not 0 <= encoded[1] < n_states:
                 raise TableCacheError(
-                    f"malformed table payload: nonterminal {symbol.name!r} "
-                    f"in ACTION row {state}"
-                )
-            if action.kind == "shift" and not 0 <= action.state < n_states:
-                raise TableCacheError(
-                    f"malformed table payload: shift target {action.state} "
+                    f"malformed table payload: shift target {encoded[1]} "
                     f"out of range in ACTION row {state}"
                 )
-            if action.kind == "reduce" and not 0 <= action.production < n_productions:
+            if tag == ACTION_REDUCE and not 0 <= encoded[1] < n_productions:
                 raise TableCacheError(
                     f"malformed table payload: reduce production "
-                    f"{action.production} out of range in ACTION row {state}"
+                    f"{encoded[1]} out of range in ACTION row {state}"
                 )
-    for state, row in enumerate(gotos):
-        for symbol, target in row.items():
-            if symbol.is_terminal:
-                raise TableCacheError(
-                    f"malformed table payload: terminal {symbol.name!r} "
-                    f"in GOTO row {state}"
-                )
+            codes[base + tid] = code
+    return codes
+
+
+def _goto_codes(rows: "List[Dict]", grammar: Grammar) -> array:
+    """The GOTO rows as ``goto_codes``, each target checked."""
+    nonterminals = grammar.ids.nonterminals
+    width = len(nonterminals)
+    nonterminal_id = {symbol.name: nid for nid, symbol in enumerate(nonterminals)}
+    n_states = len(rows)
+    codes = array("i", [-1]) * (n_states * width)
+    for state, row in enumerate(rows):
+        base = state * width
+        for name, target in row.items():
+            nid = nonterminal_id.get(name)
+            if nid is None:
+                raise _misplaced(grammar, name, "GOTO", state)
             if not isinstance(target, int) or isinstance(target, bool) or not (
                 0 <= target < n_states
             ):
@@ -249,24 +272,30 @@ def _validate_rows(
                     f"malformed table payload: GOTO target {target!r} "
                     f"out of range in row {state}"
                 )
+            codes[base + nid] = target
+    return codes
 
 
-def save_table(table: ParseTable, path: str) -> None:
-    """Serialise *table* as JSON to *path*, atomically.
+def atomic_write(path: str, write: "Callable[[IO], None]", binary: bool = False) -> None:
+    """Write *path* through ``write(handle)``, atomically.
 
-    The payload is written to a temporary file in the destination
-    directory and moved into place with :func:`os.replace`, so a crash
-    mid-write leaves either the old file or no file — never a truncated
-    one readers would choke on.
+    The content goes to a temporary file in the destination directory
+    and is moved into place with :func:`os.replace`, so a crash mid-write
+    leaves either the old file or no file — never a truncated one
+    readers would choke on.  *binary* opens the handle in bytes mode,
+    else it is UTF-8 text.
     """
-    payload = table_to_dict(table)
     directory = os.path.dirname(os.path.abspath(path))
     descriptor, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        if binary:
+            handle = os.fdopen(descriptor, "wb")
+        else:
+            handle = os.fdopen(descriptor, "w", encoding="utf-8")
+        with handle:
+            write(handle)
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -276,8 +305,14 @@ def save_table(table: ParseTable, path: str) -> None:
         raise
 
 
+def save_table(table: ParseTable, path: str) -> None:
+    """Export *table* as JSON to *path*, atomically (:func:`atomic_write`)."""
+    payload = table_to_dict(table)
+    atomic_write(path, lambda handle: json.dump(payload, handle))
+
+
 def load_table(path: str, grammar: Grammar) -> ParseTable:
-    """Load a table cached by :func:`save_table` for *grammar*.
+    """Load a table exported by :func:`save_table` for *grammar*.
 
     Raises :class:`TableCacheError` (not a raw ``JSONDecodeError``) when
     the file is corrupt or truncated; ``FileNotFoundError`` propagates

@@ -111,7 +111,7 @@ class TestCacheFlag:
     def test_corrupt_entry_rebuilds_silently(self, grammar_file, tmp_path):
         cache_dir = tmp_path / "cache"
         run([grammar_file, "--cache", str(cache_dir)])
-        (entry,) = cache_dir.glob("*/*.json")  # entries live in shards
+        (entry,) = cache_dir.glob("*/*.rtb")  # entries live in shards
         entry.write_text('{"format": 1, "acti')  # torn file from a fake crash
         code, output = run([grammar_file, "--cache", str(cache_dir)])
         assert code == 0  # no traceback, just a rebuild
@@ -225,13 +225,6 @@ class TestTableArtifacts:
         with open(out, "rb") as handle:
             assert handle.read(4) == b"RPTB"
 
-    def test_output_binary_by_format_flag(self, grammar_file, tmp_path):
-        out = str(tmp_path / "table.bin")
-        code, output = run(
-            ["table", grammar_file, "--format", "bin", "-o", out]
-        )
-        assert code == 0 and "binary)" in output
-
     def test_output_written_for_conflicted_table(self, tmp_path):
         # JSON format 4 / binary format 3 carry the conflict log, so a
         # conflicted table is a writable artifact (exit code still
@@ -250,39 +243,52 @@ class TestTableArtifacts:
 
 
 class TestBinaryCacheFlag:
-    def test_bin_backend_miss_then_hit(self, grammar_file, tmp_path):
-        import os
+    """The cache stores binary .rtb entries only; no flag picks a format."""
 
+    def test_bin_backend_miss_then_hit(self, grammar_file, tmp_path):
         cache_dir = tmp_path / "cache"
-        code, output = run(
-            [grammar_file, "--cache", str(cache_dir), "--format", "bin"]
-        )
+        code, output = run([grammar_file, "--cache", str(cache_dir)])
         assert code == 0 and "cache: miss" in output
         assert list(cache_dir.glob("*/*.rtb"))  # entries live in shards
-        code, output = run(
-            [grammar_file, "--cache", str(cache_dir), "--format", "bin"]
-        )
+        code, output = run([grammar_file, "--cache", str(cache_dir)])
         assert code == 0 and "cache: hit" in output
 
     def test_backends_do_not_collide(self, grammar_file, tmp_path):
-        # A JSON entry must not satisfy a binary lookup or vice versa.
-        cache_dir = str(tmp_path / "cache")
-        run([grammar_file, "--cache", cache_dir])
-        _, output = run(
-            [grammar_file, "--cache", cache_dir, "--format", "bin"]
-        )
+        # A JSON export where the retired JSON backend kept its entry
+        # never satisfies the binary lookup.
+        cache_dir = tmp_path / "cache"
+        run([grammar_file, "--cache", str(cache_dir)])
+        (entry,) = cache_dir.glob("*/*.rtb")
+        legacy = entry.with_suffix(".json")
+        run(["table", grammar_file, "-o", str(legacy)])
+        entry.unlink()
+        _, output = run([grammar_file, "--cache", str(cache_dir)])
         assert "cache: miss" in output
+        assert legacy.exists()
 
     def test_corrupt_binary_entry_rebuilds(self, grammar_file, tmp_path):
         cache_dir = tmp_path / "cache"
-        run([grammar_file, "--cache", str(cache_dir), "--format", "bin"])
+        run([grammar_file, "--cache", str(cache_dir)])
         (entry,) = cache_dir.glob("*/*.rtb")  # entries live in shards
         entry.write_bytes(b"RPTB truncated mid-write")
-        code, output = run(
-            [grammar_file, "--cache", str(cache_dir), "--format", "bin"]
-        )
+        code, output = run([grammar_file, "--cache", str(cache_dir)])
         assert code == 0
         assert "rebuilt (corrupt entry)" in output
+
+    def test_json_store_refused(self, grammar_file, tmp_path):
+        from repro.tables import TableCache
+
+        with pytest.raises(ValueError, match="backend"):
+            TableCache(str(tmp_path), backend="json")
+        # `serve --format` survives with `bin` as its only choice; every
+        # other command lost the flag.
+        for argv in (
+            ["serve", "--format", "json"],
+            ["table", grammar_file, "--format", "bin"],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                run(argv)
+            assert exited.value.code == 2
 
 
 class TestStatesAndConflicts:

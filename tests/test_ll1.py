@@ -163,6 +163,15 @@ class TestLlParser:
         with pytest.raises(ParseError, match="unknown terminal"):
             parser.parse(["zzz"])
 
+    def test_end_marker_in_the_input_is_rejected_where_it_stands(self):
+        # The engine appends the end marker itself; read from the input
+        # it must fail at its own position, as in the LR engines.
+        ll = LlParser(Ll1Analysis(load_grammar("S -> a S | b").augmented()))
+        with pytest.raises(ParseError) as caught:
+            ll.parse(["b", "$end", "a"])
+        assert caught.value.position == 1
+        assert "unknown terminal '$end' at position 1" in str(caught.value)
+
 
 class TestCorpusLlStatus:
     def test_lr0_demo_is_ll1(self):

@@ -551,6 +551,18 @@ class TestMalformedArtifactCorpus:
             table_from_dict(data, grammar)
         assert str(caught.value) == message
 
+    def test_symbol_outside_the_layout(self):
+        # The symbol table is shared with the augmented copy, so a
+        # non-augmented grammar knows ``$end`` but has no column for it.
+        grammar = corpus.load("expr")
+        data = table_to_dict(build_lalr_table(grammar.augmented()))
+        data["fingerprint"] = grammar_fingerprint(grammar)
+        with pytest.raises(TableCacheError) as caught:
+            table_from_dict(data, grammar)
+        assert str(caught.value) == (
+            "malformed table payload: '$end' is not in the grammar's symbol layout"
+        )
+
     def test_payload_not_an_object(self):
         grammar = corpus.load("expr", augment=True)
         with pytest.raises(TableCacheError) as caught:

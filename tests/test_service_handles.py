@@ -230,7 +230,7 @@ class TestInProcessTier:
 class TestPoolTier:
     def test_each_worker_reads_the_grammar_once(self, tmp_path, counted_loads):
         with ServiceThread(
-            cache_dir=str(tmp_path), cache_backend="bin", pool_workers=2
+            cache_dir=str(tmp_path), pool_workers=2
         ) as thread:
             client = Client(thread.port)
             bodies = {client.post("/parse", PARSE).body for _ in range(8)}

@@ -69,18 +69,14 @@ def _comparable(response):
 @pytest.fixture(scope="module")
 def single(tmp_path_factory):
     cache = tmp_path_factory.mktemp("pool-single")
-    with ServiceThread(
-        cache_dir=str(cache), cache_backend="bin", pool_workers=1
-    ) as thread:
+    with ServiceThread(cache_dir=str(cache), pool_workers=1) as thread:
         yield thread
 
 
 @pytest.fixture(scope="module")
 def pooled(tmp_path_factory):
     cache = tmp_path_factory.mktemp("pool-multi")
-    with ServiceThread(
-        cache_dir=str(cache), cache_backend="bin", pool_workers=4
-    ) as thread:
+    with ServiceThread(cache_dir=str(cache), pool_workers=4) as thread:
         assert thread.service.pool is not None
         yield thread
 
@@ -247,9 +243,7 @@ class TestServedBitIdentity:
 class TestPoolMetricsAccounting:
     def test_every_worker_is_counted(self, tmp_path):
         with ServiceThread(
-            cache_dir=str(tmp_path / "cache"),
-            cache_backend="bin",
-            pool_workers=4,
+            cache_dir=str(tmp_path / "cache"), pool_workers=4
         ) as thread:
             client = Client(thread.port)
             payload = {"corpus": "expr", "input": ["id", "*", "id"]}

@@ -60,9 +60,9 @@ def expected_digests() -> dict:
     }
 
 
-def _hammer_worker(directory, backend, rounds, barrier, results):
+def _hammer_worker(directory, rounds, barrier, results):
     """Subprocess body: interleaved load_or_build over the shared dir."""
-    cache = TableCache(directory, backend=backend, hot_capacity=2)
+    cache = TableCache(directory, hot_capacity=2)
     barrier.wait()  # maximise reader/writer overlap
     digests = {}
     for _ in range(rounds):
@@ -74,8 +74,7 @@ def _hammer_worker(directory, backend, rounds, barrier, results):
 
 
 class TestMultiProcessHammering:
-    @pytest.mark.parametrize("backend", ["json", "bin"])
-    def test_readers_and_writers_agree_bit_for_bit(self, tmp_path, backend):
+    def test_readers_and_writers_agree_bit_for_bit(self, tmp_path):
         directory = str(tmp_path / "store")
         context = multiprocessing.get_context("spawn")
         barrier = context.Barrier(4)
@@ -83,7 +82,7 @@ class TestMultiProcessHammering:
         workers = [
             context.Process(
                 target=_hammer_worker,
-                args=(directory, backend, 3, barrier, results),
+                args=(directory, 3, barrier, results),
             )
             for _ in range(4)
         ]
@@ -102,7 +101,7 @@ class TestMultiProcessHammering:
             assert stats["corrupt"] == 0
 
         # The shared directory holds exactly one intact entry per grammar.
-        survivor = TableCache(directory, backend=backend)
+        survivor = TableCache(directory)
         assert len(survivor.entry_paths()) == len(NAMES)
         for name in NAMES:
             grammar = corpus.load(name, augment=True)
@@ -180,10 +179,9 @@ class TestHotLruExactCounters:
 
 
 class TestCorruptionRecovery:
-    @pytest.mark.parametrize("backend", ["json", "bin"])
-    def test_injected_corruption_rebuilds_silently(self, tmp_path, backend):
+    def test_injected_corruption_rebuilds_silently(self, tmp_path):
         directory = str(tmp_path / "store")
-        cache = TableCache(directory, backend=backend)
+        cache = TableCache(directory)
         grammar = corpus.load("expr_prec", augment=True)
         first = cache.load_or_build(grammar, "lalr1", build_lalr_table)
 
@@ -191,12 +189,12 @@ class TestCorruptionRecovery:
         with open(entry, "wb") as handle:
             handle.write(b"\x00garbage" * 32)
 
-        fresh = TableCache(directory, backend=backend)
+        fresh = TableCache(directory)
         rebuilt = fresh.load_or_build(grammar, "lalr1", build_lalr_table)
         assert table_digest(rebuilt) == table_digest(first)
         assert fresh.stats()["corrupt"] == 1
         # The damaged entry was evicted and replaced by a loadable one.
-        reread = TableCache(directory, backend=backend)
+        reread = TableCache(directory)
         assert reread.load(grammar, "lalr1") is not None
         assert reread.stats()["corrupt"] == 0
 
@@ -225,10 +223,7 @@ class TestFullStore:
         ("/parse", {"corpus": "expr", "input": "id + +"}),
     ]
 
-    @pytest.mark.parametrize("backend", ["json", "bin"])
-    def test_disk_full_serves_identically_and_counts(
-        self, tmp_path, monkeypatch, backend
-    ):
+    def test_disk_full_serves_identically_and_counts(self, tmp_path, monkeypatch):
         with ServiceThread() as uncached:
             client = Client(uncached.port)
             expected = [client.post(path, body).body for path, body in self.REQUESTS]
@@ -236,11 +231,8 @@ class TestFullStore:
         def disk_full(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr("repro.tables.cache.save_table", disk_full)
         monkeypatch.setattr("repro.tables.cache.save_binary_table", disk_full)
-        with ServiceThread(
-            cache_dir=str(tmp_path / "store"), cache_backend=backend
-        ) as thread:
+        with ServiceThread(cache_dir=str(tmp_path / "store")) as thread:
             client = Client(thread.port)
             served = [client.post(path, body).body for path, body in self.REQUESTS]
             assert served == expected

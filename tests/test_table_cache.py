@@ -137,8 +137,8 @@ class TestInvalidation:
 
 class TestStore:
     def test_conflicted_table_is_cached_with_its_conflicts(self, cache):
-        # Formats 4 (json) / 3 (bin) carry the unresolved-conflict
-        # section, so conflicted tables are cacheable like any other.
+        # Binary format 3 carries the unresolved-conflict section, so
+        # conflicted tables are cacheable like any other.
         ambiguous = load_grammar(
             "%token a\n%start E\n%%\nE : E E | a ;\n", name="amb"
         ).augmented()
@@ -176,52 +176,48 @@ class TestStore:
     def test_clear_removes_entries(self, grammar, cache):
         cache.load_or_build(grammar, "lalr1", build_lalr_table)
         assert cache.clear() == 1
+        assert os.listdir(cache.directory) == []  # emptied shards go too
         assert cache.clear() == 0  # idempotent, also fine on missing dir
 
 
 class TestBinaryBackend:
-    """backend="bin" stores .rtb artifacts and loads them as a verified
-    copy; the eviction/corruption contract is identical to the JSON
-    backend."""
-
-    @pytest.fixture
-    def bin_cache(self, tmp_path):
-        return TableCache(str(tmp_path / "cache"), backend="bin")
+    """The store's one format: .rtb artifacts loaded as a verified copy,
+    with a damaged entry evicted and rebuilt."""
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="backend"):
             TableCache(str(tmp_path), backend="xml")
 
-    def test_round_trip_through_binary_entry(self, grammar, bin_cache):
+    def test_round_trip_through_binary_entry(self, grammar, cache):
         from repro.tables.binfmt import BINARY_SUFFIX
 
         builder, calls = _build_calls(build_lalr_table)
-        first = bin_cache.load_or_build(grammar, "lalr1", builder)
-        path = bin_cache.path_for(grammar, "lalr1")
+        first = cache.load_or_build(grammar, "lalr1", builder)
+        path = cache.path_for(grammar, "lalr1")
         assert path.endswith(BINARY_SUFFIX)
         assert os.path.exists(path)
-        second = bin_cache.load_or_build(grammar, "lalr1", builder)
+        second = cache.load_or_build(grammar, "lalr1", builder)
         assert calls == [grammar.name]
-        assert bin_cache.hits == 1
+        assert cache.hits == 1
         assert second.actions == first.actions
         assert second.method == first.method
 
-    def test_loaded_binary_table_parses(self, grammar, bin_cache):
+    def test_loaded_binary_table_parses(self, grammar, cache):
         from repro.parser import Parser
 
-        bin_cache.load_or_build(grammar, "lalr1", build_lalr_table)
-        table = bin_cache.load(grammar, "lalr1")
+        cache.load_or_build(grammar, "lalr1", build_lalr_table)
+        table = cache.load(grammar, "lalr1")
         assert Parser(table).accepts(["id", "+", "id"])
 
-    def test_corrupt_binary_entry_rebuilds_and_evicts(self, grammar, bin_cache):
+    def test_corrupt_binary_entry_rebuilds_and_evicts(self, grammar, cache):
         builder, calls = _build_calls(build_lalr_table)
-        bin_cache.load_or_build(grammar, "lalr1", builder)
-        path = bin_cache.path_for(grammar, "lalr1")
+        cache.load_or_build(grammar, "lalr1", builder)
+        path = cache.path_for(grammar, "lalr1")
         with open(path, "wb") as handle:
             handle.write(b"RPTB" + b"\x00" * 10)  # truncated header
-        table = bin_cache.load_or_build(grammar, "lalr1", builder)
+        table = cache.load_or_build(grammar, "lalr1", builder)
         assert len(calls) == 2
-        assert bin_cache.corrupt == 1
+        assert cache.corrupt == 1
         assert table.is_deterministic
 
     def test_entry_truncated_under_a_live_reader(self, tmp_path):
@@ -245,7 +241,7 @@ class TestBinaryBackend:
 
             directory = sys.argv[1]
             grammar = corpus.load("toy_java", augment=True)
-            cache = TableCache(directory, backend="bin")
+            cache = TableCache(directory)
             cache.load_or_build(grammar, "lalr1", build_lalr_table)
             loaded = cache.load(grammar, "lalr1")
             path = cache.path_for(grammar, "lalr1")
@@ -265,7 +261,7 @@ class TestBinaryBackend:
             for tokens in streams:
                 assert outcome(live, tokens) == outcome(reference, tokens)
 
-            second = TableCache(directory, backend="bin")
+            second = TableCache(directory)
             assert second.load(grammar, "lalr1") is None
             assert second.corrupt == 1 and not os.path.exists(path)
             rebuilt = second.load_or_build(grammar, "lalr1", build_lalr_table)
@@ -283,42 +279,34 @@ class TestBinaryBackend:
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
         assert proc.stdout.strip() == "survived"
 
-    def test_backends_are_keyed_separately(self, grammar, tmp_path):
-        directory = str(tmp_path / "cache")
-        json_cache = TableCache(directory, backend="json")
-        bin_cache = TableCache(directory, backend="bin")
-        json_cache.load_or_build(grammar, "lalr1", build_lalr_table)
-        # Different suffix => the binary cache misses and stores its own.
-        bin_cache.load_or_build(grammar, "lalr1", build_lalr_table)
-        assert bin_cache.hits == 0 and bin_cache.stores == 1
-        # Same fingerprint => both entries share one shard directory.
-        shard = os.path.dirname(bin_cache.path_for(grammar, "lalr1"))
-        assert len(os.listdir(shard)) == 2
+    def test_backends_are_keyed_separately(self, grammar, cache):
+        # A JSON entry left by the retired JSON backend sits at the same
+        # key with another suffix: it is never read, and the binary
+        # entry is stored beside it in the same shard.
+        from repro.tables.serialize import save_table
 
-    def test_clear_removes_both_backends(self, grammar, tmp_path):
-        directory = str(tmp_path / "cache")
-        TableCache(directory, backend="json").load_or_build(
-            grammar, "lalr1", build_lalr_table
-        )
-        bin_cache = TableCache(directory, backend="bin")
-        bin_cache.load_or_build(grammar, "lalr1", build_lalr_table)
-        assert bin_cache.clear() == 2
-        assert os.listdir(directory) == []
+        path = cache.path_for(grammar, "lalr1")
+        os.makedirs(os.path.dirname(path))
+        save_table(build_lalr_table(grammar), path[: -len(".rtb")] + ".json")
+        cache.load_or_build(grammar, "lalr1", build_lalr_table)
+        assert cache.hits == 0 and cache.corrupt == 0 and cache.stores == 1
+        assert len(os.listdir(os.path.dirname(path))) == 2
+        assert cache.entry_paths() == [path]
 
-    def test_load_emits_latency_and_size_counters(self, grammar, bin_cache):
-        bin_cache.load_or_build(grammar, "lalr1", build_lalr_table)
+    def test_load_emits_latency_and_size_counters(self, grammar, cache):
+        cache.load_or_build(grammar, "lalr1", build_lalr_table)
         with profile() as collector:
-            bin_cache.load_or_build(grammar, "lalr1", build_lalr_table)
+            cache.load_or_build(grammar, "lalr1", build_lalr_table)
         assert collector.counters["table.cache.load_ns"] > 0
         assert collector.counters["table.bytes"] == os.path.getsize(
-            bin_cache.path_for(grammar, "lalr1")
+            cache.path_for(grammar, "lalr1")
         )
 
-    def test_store_emits_size_counter(self, grammar, bin_cache):
+    def test_store_emits_size_counter(self, grammar, cache):
         with profile() as collector:
-            bin_cache.load_or_build(grammar, "lalr1", build_lalr_table)
+            cache.load_or_build(grammar, "lalr1", build_lalr_table)
         assert collector.counters["table.bytes"] == os.path.getsize(
-            bin_cache.path_for(grammar, "lalr1")
+            cache.path_for(grammar, "lalr1")
         )
 
 
@@ -334,40 +322,40 @@ class TestDefaultDirectory:
 
 class TestFormatMigration:
     def test_pre_refactor_entry_evicted_and_rebuilt(self, grammar, cache):
-        """A cache file written by the pre-integer-core format (format 1)
-        is treated as unusable: evicted from disk, counted as corrupt,
-        and the table rebuilt from scratch."""
-        from repro.tables.serialize import table_to_dict
+        """An entry written in an older binary format version is treated
+        as unusable: evicted from disk, counted as corrupt, and the
+        table rebuilt from scratch."""
+        from repro.tables.binfmt import BINARY_FORMAT_VERSION, table_to_bytes
 
         builder, calls = _build_calls(build_lalr_table)
-        # Forge a format-1 entry at the exact key the cache would probe.
-        stale = table_to_dict(build_lalr_table(grammar))
-        stale["format"] = 1
+        # Forge a version-1 entry at the exact key the cache would probe
+        # (the version is the little-endian uint16 after the magic).
+        stale = bytearray(table_to_bytes(build_lalr_table(grammar)))
+        stale[4:6] = (1).to_bytes(2, "little")
         path = cache.path_for(grammar, "lalr1")
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(stale, handle)
+        with open(path, "wb") as handle:
+            handle.write(stale)
 
         table = cache.load_or_build(grammar, "lalr1", builder)
         assert calls == [grammar.name]  # rebuilt, not loaded
         assert table.is_deterministic
         assert cache.corrupt == 1
         # The stale entry was replaced by a current-format one that now hits.
-        with open(path, "r", encoding="utf-8") as handle:
-            from repro.tables.serialize import FORMAT_VERSION
-
-            assert json.load(handle)["format"] == FORMAT_VERSION
+        with open(path, "rb") as handle:
+            header = handle.read(6)
+        assert int.from_bytes(header[4:6], "little") == BINARY_FORMAT_VERSION
         cache.load_or_build(grammar, "lalr1", builder)
         assert cache.hits == 1 and calls == [grammar.name]
 
     def test_flat_layout_entry_is_a_miss(self, grammar, cache):
         """Entries are only read from their fingerprint-prefix shard; an
         intact entry in the pre-sharding flat layout is never looked up."""
-        from repro.tables.serialize import save_table
+        from repro.tables.binfmt import save_binary_table
 
         sharded = cache.path_for(grammar, "lalr1")
         os.makedirs(cache.directory)
-        save_table(
+        save_binary_table(
             build_lalr_table(grammar),
             os.path.join(cache.directory, os.path.basename(sharded)),
         )
@@ -377,7 +365,7 @@ class TestFormatMigration:
 
 
 def _concurrent_writer(directory, barrier, iterations):
-    """Subprocess body: hammer save_table at one fingerprint in lockstep."""
+    """Subprocess body: hammer store() at one fingerprint in lockstep."""
     from repro.grammars import corpus
     from repro.tables import TableCache, build_lalr_table
 
@@ -390,10 +378,10 @@ def _concurrent_writer(directory, barrier, iterations):
 
 
 class TestConcurrentWriters:
-    """Two processes save_table the same fingerprint simultaneously.
+    """Two processes store the same fingerprint simultaneously.
 
     The atomic temp-file + os.replace protocol guarantees (a) whichever
-    write wins, the surviving entry is a complete, loadable JSON file —
+    write wins, the surviving entry is a complete, loadable artifact —
     never an interleaving of the two — and (b) no orphaned ``*.tmp``
     files are left behind.
     """

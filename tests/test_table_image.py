@@ -2,10 +2,11 @@
 
 Every construction writes the ``action_codes``/``goto_codes`` arrays
 directly and the Symbol-keyed view is always decoded from them, so a
-fresh table, its binary round-trip and its JSON round-trip serialise to
-the same bytes and compress to the same row defaults.  The CLR conflict
-log is filled in terminal-id order, so its bytes do not depend on where
-the interpreter happened to allocate the terminal ``Symbol`` objects.
+fresh table, its binary round-trip and its JSON round-trip hold the same
+code arrays and conflict log, serialise to the same bytes and compress
+to the same row defaults.  The CLR conflict log is filled in terminal-id
+order, so its bytes do not depend on where the interpreter happened to
+allocate the terminal ``Symbol`` objects.
 """
 
 import json
@@ -37,6 +38,24 @@ def test_fresh_and_loaded_tables_share_one_image(name, method):
     assert len(images) == 1
     defaults = [compress(table).defaults for table in (fresh, from_binary, from_json)]
     assert defaults[0] == defaults[1] == defaults[2]
+    # Both loaders write the same code arrays and conflict log.
+    for loaded in (from_binary, from_json):
+        assert loaded.action_codes == fresh.action_codes
+        assert loaded.goto_codes == fresh.goto_codes
+        assert [_conflict_key(c) for c in loaded.conflicts] == [
+            _conflict_key(c) for c in fresh.conflicts
+        ]
+
+
+def _conflict_key(conflict):
+    return (
+        conflict.state,
+        conflict.terminal,
+        conflict.kind,
+        conflict.actions,
+        conflict.chosen,
+        conflict.resolved_by_precedence,
+    )
 
 
 _CLR_DIGEST = textwrap.dedent(
