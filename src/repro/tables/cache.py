@@ -47,6 +47,9 @@ from .table import ParseTable
 
 __all__ = ["TableCache", "default_cache_dir"]
 
+# The suffix of entries written by the retired JSON backend.
+_RETIRED_SUFFIX = ".json"
+
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_TABLE_CACHE"
 
@@ -232,6 +235,9 @@ class TableCache:
     def entry_paths(self) -> "List[str]":
         """Every entry file currently on disk, shard by shard — how tests
         assert an aborted build stored nothing."""
+        return self._shard_files((BINARY_SUFFIX,))
+
+    def _shard_files(self, suffixes: Tuple[str, ...]) -> "List[str]":
         try:
             names = sorted(os.listdir(self.directory))
         except (FileNotFoundError, NotADirectoryError):
@@ -243,16 +249,18 @@ class TableCache:
                 paths.extend(
                     os.path.join(shard, entry)
                     for entry in sorted(os.listdir(shard))
-                    if entry.endswith(BINARY_SUFFIX)
+                    if entry.endswith(suffixes)
                 )
         return paths
 
     def clear(self) -> int:
-        """Delete every cache entry, its emptied shard directory and the
-        hot LRU; returns how many files were removed."""
+        """Delete every cache entry, each emptied shard directory and the
+        hot LRU; returns how many files were removed.  ``.json`` entries
+        left in a shard by the retired JSON backend are never read, but
+        they are removed here too, so a cleared cache is empty."""
         with self._hot_lock:
             self._hot.clear()
-        paths = self.entry_paths()
+        paths = self._shard_files((BINARY_SUFFIX, _RETIRED_SUFFIX))
         for path in paths:
             self._evict(path)
         for shard in {os.path.dirname(path) for path in paths}:

@@ -293,6 +293,18 @@ class TestBinaryBackend:
         assert len(os.listdir(os.path.dirname(path))) == 2
         assert cache.entry_paths() == [path]
 
+    def test_clear_removes_both_backends(self, grammar, cache):
+        # A JSON entry left by the retired JSON backend is never read,
+        # but clearing the cache removes it with the binary entry.
+        from repro.tables.serialize import save_table
+
+        path = cache.path_for(grammar, "lalr1")
+        os.makedirs(os.path.dirname(path))
+        save_table(build_lalr_table(grammar), path[: -len(".rtb")] + ".json")
+        cache.load_or_build(grammar, "lalr1", build_lalr_table)
+        assert cache.clear() == 2
+        assert os.listdir(cache.directory) == []
+
     def test_load_emits_latency_and_size_counters(self, grammar, cache):
         cache.load_or_build(grammar, "lalr1", build_lalr_table)
         with profile() as collector:
