@@ -7,6 +7,8 @@ action, agreeing with CYK on recognition and with the tree counter on
 ambiguity degree.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -370,3 +372,157 @@ class TestTreeCountTwin:
         streams = _streams(table.grammar, count=3, budget=8)
         for forest in self._accepted_forests(table, streams):
             self._assert_twins(forest)
+
+
+def _mini_c_tokens(count, seed):
+    generator = SentenceGenerator(corpus.load("mini_c"), seed=seed)
+    tokens = []
+    while len(tokens) < count:
+        tokens.extend(symbol.name for symbol in generator.sentence(40))
+    return tokens
+
+
+#: A function whose body forks twice on ``else``: once on the dangling
+#: else (two readings) and once where only one reading survives.
+_NESTED_IF = (
+    "int ID ( ) { if ( ID ) if ( ID ) ID ; else ID ; "
+    "while ( ID ) if ( NUM ) { ID = ID ; } else ID ; }"
+).split()
+
+
+class TestLrModeSeams:
+    """Where the engine enters and leaves its LR mode.  The stats, tree
+    counts, tree digests and budget trip points were recorded from the
+    engine that ran every level on the general GSS path; LR mode must add
+    exactly what that path built."""
+
+    CASES = {
+        # Reduce/reduce fork on the first token; the level after it has
+        # one node again, and the final S reduction pops from the LR stack
+        # down through the GSS nodes the forked levels made.
+        "fork_at_first_token": (
+            "S -> A x y T | B x z T\nA -> %empty\nB -> %empty\nT -> T t | t",
+            "x y" + " t" * 12,
+        ),
+        # The fork sits on the last token before $end.
+        "fork_on_last_token": (
+            "S -> T A z | T B z\nT -> T t | t\nA -> %empty\nB -> %empty",
+            "t " * 12 + "z",
+        ),
+        # The fork sits on $end itself: two trees.
+        "fork_on_end_marker": (
+            "S -> T A | T B\nT -> T t | t\nA -> %empty\nB -> %empty",
+            ("t " * 12).strip(),
+        ),
+        # O -> %empty is the first reduction of the level after each x.
+        "epsilon_at_level_start": (
+            "L -> L x O | x\nO -> %empty | o",
+            "x x o x x o x x x o",
+        ),
+        # Nested if/else forks in the middle of a long stream; the closing
+        # reductions pop through the GSS nodes made at the fork.
+        "mini_c_nested_if": ("mini_c", None),
+    }
+
+    #: name -> (stats, tree_count(1000), sha256 of tree().format()).
+    PINS = {
+        "fork_at_first_token": (
+            (31, 30, 29, 15, 15, 15, 15), 1,
+            "c49c1ab7644c019c107d574fcda92d9fc018676a941c3ab712cd6ee18f8192e1",
+        ),
+        "fork_on_last_token": (
+            (30, 29, 28, 16, 16, 14, 16), 2,
+            "6e7dc5a451f921153f3fc6174e9eaeb60a9e201a00d047af55c0a7321fa3a580",
+        ),
+        "fork_on_end_marker": (
+            (28, 27, 27, 16, 16, 12, 16), 2,
+            "789bee9d774ea45a3940ffc638e3d22f4ee0ac585a936fa81ec3984d48515155",
+        ),
+        "epsilon_at_level_start": (
+            (24, 23, 23, 13, 13, 10, 13), 1,
+            "258a047fe32defb1d8e6c88fb1ddc499f536b209c1a20dc065835f932356ab42",
+        ),
+        "mini_c_nested_if": (
+            (2472, 2502, 2502, 1811, 1811, 692, 1810), 2,
+            "6d3e73c06b591b42ad17cd88874cbdf37c5ec9c6a1b17af4c7d89b687d442751",
+        ),
+    }
+
+    def _case(self, name):
+        text, words = self.CASES[name]
+        if words is None:
+            tokens = _mini_c_tokens(300, 7) + _NESTED_IF + _mini_c_tokens(300, 8)
+            return GlrParser(_TABLES[text]), tokens
+        table = build_lalr_table(load_grammar(text).augmented())
+        return GlrParser(table), words.split()
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_pinned_forest(self, name):
+        glr, tokens = self._case(name)
+        stats, trees, digest = self.PINS[name]
+        forest = glr.parse_forest(tokens)
+        assert tuple(forest.stats.values()) == stats
+        assert forest.tree_count(1000) == trees
+        assert len(forest.trees(1000)) == trees
+        text = forest.tree().format()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    #: (budget kwargs, stream) -> (resource, progress at the trip).
+    TRIPS = [
+        ({"max_parse_steps": 1}, "mini_c",
+         {"tokens": 1, "parse_steps": 2, "checks": 4}),
+        ({"max_parse_steps": 1234}, "mini_c",
+         {"tokens": 341, "parse_steps": 1235, "checks": 1577}),
+        ({"max_parse_steps": 3000}, "mini_c",
+         {"tokens": 830, "parse_steps": 3001, "checks": 3832}),
+        ({"max_tokens": 1}, "mini_c",
+         {"tokens": 2, "parse_steps": 2, "checks": 5}),
+        ({"max_tokens": 517}, "mini_c",
+         {"tokens": 518, "parse_steps": 1859, "checks": 2378}),
+        ({"max_parse_steps": 9}, "dangling_else",
+         {"tokens": 4, "parse_steps": 10, "checks": 15}),
+        ({"max_tokens": 4}, "dangling_else",
+         {"tokens": 5, "parse_steps": 11, "checks": 17}),
+    ]
+
+    @pytest.mark.parametrize("limits, name, progress", TRIPS)
+    def test_budget_trips_at_the_pinned_step(self, limits, name, progress):
+        if name == "mini_c":
+            tokens = _mini_c_tokens(1000, 2020)
+        else:
+            tokens = "if if if other else other else other".split()
+        glr = GlrParser(_TABLES[name])
+        with pytest.raises(BudgetExceeded) as info:
+            glr.parse_forest(tokens, budget=Budget(**limits))
+        ((resource, limit),) = limits.items()
+        assert (info.value.resource, info.value.limit) == (resource, limit)
+        assert info.value.progress == progress
+
+    #: The glr.* counters published at a trip: the work done up to it.
+    TRIP_COUNTERS = {
+        "max_parse_steps": (
+            1234, (1234, 1208, 894, 340, 894, 1235, 340, 894),
+        ),
+        "max_tokens": (
+            517, (1859, 1827, 1342, 517, 1342, 1859, 517, 1342),
+        ),
+    }
+
+    @pytest.mark.parametrize("resource", sorted(TRIP_COUNTERS))
+    def test_counters_published_at_a_trip(self, resource):
+        limit, counters = self.TRIP_COUNTERS[resource]
+        glr = GlrParser(_TABLES["mini_c"])
+        with instrument.profile() as collector:
+            with pytest.raises(BudgetExceeded):
+                glr.parse_forest(
+                    _mini_c_tokens(1000, 2020), budget=Budget(**{resource: limit})
+                )
+        published = {
+            key: value for key, value in collector.counters.items()
+            if key.startswith("glr.")
+        }
+        names = ("gss_edges", "gss_nodes", "reductions", "shifts",
+                 "sppf_families", "sppf_nodes", "tokens", "worklist_pops")
+        assert published == {
+            f"glr.{name}": value for name, value in zip(names, counters)
+        }
