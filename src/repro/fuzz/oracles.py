@@ -413,28 +413,32 @@ def check_sentence_roundtrip(ctx: OracleContext) -> Optional[str]:
     return None
 
 
+#: The GLR oracles compare tree counts saturated at this many trees.
+TREE_LIMIT = 1000
+
+
 @oracle("representation-parity")
 def check_representation_parity(ctx: OracleContext) -> Optional[str]:
     """Every artifact round-trip is observationally identical.
 
     A JSON round-trip (``table_from_dict(table_to_dict(t))``) and a binary
     round-trip (``table_from_bytes(table_to_bytes(t))``) must reproduce
-    the table's code arrays exactly, and drive the engine to the same
-    derivation on every generated sentence and to the *same error* —
-    message text, position and expected set — on deterministic mutants
-    of those sentences.  This is the live form of the artifact
+    the table's code arrays and its conflict log exactly, and drive the
+    engine to the same outcome on every generated sentence and to the
+    *same error* — message text, position and expected set — on
+    deterministic mutants of those sentences.  A deterministic table
+    drives the LR engine (same derivation); a conflicted one drives the
+    GLR engine, which forks on the cells the conflict log restores (same
+    ``tree_count(TREE_LIMIT)``).  This is the live form of the artifact
     round-trip regression suite, run on every fuzz-campaign grammar.
     """
     from ..parser.engine import Parser
-    from ..parser.errors import ParseError
+    from ..parser.glr import GlrParser
     from ..tables.binfmt import table_from_bytes, table_to_bytes
     from ..tables.serialize import table_from_dict, table_to_dict
 
     base = ctx.lalr_table
-    if not base.is_deterministic:
-        return None
-    reference = Parser(base)
-    variants = []
+    tables = []
     for label, loaded in (
         ("json", table_from_dict(table_to_dict(base), ctx.augmented)),
         ("binary", table_from_bytes(table_to_bytes(base), ctx.augmented)),
@@ -444,42 +448,29 @@ def check_representation_parity(ctx: OracleContext) -> Optional[str]:
             or loaded.goto_codes != base.goto_codes
         ):
             return f"{label} round-trip changes the table's code arrays"
-        variants.append((label, Parser(loaded)))
+        if _conflict_log(loaded) != _conflict_log(base):
+            return f"{label} round-trip changes the table's conflict log"
+        tables.append((label, loaded))
 
-    sentences = ctx.sentences()
-    terminals = sorted(ctx.augmented.terminals, key=lambda s: s.name)
-    streams: List[list] = [list(sentence) for sentence in sentences]
+    if base.is_deterministic:
+        def engine(table):
+            parser = Parser(table)
+            return lambda words: ("tree", parser.parse(words).sexpr())
+    else:
+        def engine(table):
+            glr = GlrParser(table)
+            return lambda words: ("valid", glr.parse_forest(words).tree_count(TREE_LIMIT))
+    reference = engine(base)
+    variants = [(label, engine(loaded)) for label, loaded in tables]
+
     # Deterministic mutants, kept inside the grammar's own terminal
     # alphabet (out-of-grammar names take the engine's "unknown terminal"
     # path, which generated drivers deliberately do not share).
-    for index, sentence in enumerate(sentences):
-        if sentence:
-            streams.append(list(sentence[:-1]))
-            swapped = list(sentence)
-            swapped[index % len(swapped)] = terminals[index % len(terminals)]
-            streams.append(swapped)
-    streams.append([])
-
-    for words in streams:
-        try:
-            expected_outcome = ("tree", reference.parse(list(words)).sexpr())
-        except ParseError as error:
-            expected_outcome = (
-                "error",
-                str(error),
-                error.position,
-                [s.name for s in error.expected],
-            )
-        for label, parser in variants:
-            try:
-                outcome = ("tree", parser.parse(list(words)).sexpr())
-            except ParseError as error:
-                outcome = (
-                    "error",
-                    str(error),
-                    error.position,
-                    [s.name for s in error.expected],
-                )
+    terminals = sorted(ctx.augmented.terminals, key=lambda s: s.name)
+    for words in _streams(ctx, terminals):
+        expected_outcome = _outcome(reference, words)
+        for label, run in variants:
+            outcome = _outcome(run, words)
             if outcome != expected_outcome:
                 rendered = " ".join(t.name for t in words) or "<empty>"
                 return (
@@ -487,6 +478,52 @@ def check_representation_parity(ctx: OracleContext) -> Optional[str]:
                     f"{outcome!r} != {expected_outcome!r}"
                 )
     return None
+
+
+def _conflict_log(table) -> list:
+    """Everything a table's conflict log records, comparably."""
+    return [
+        (
+            conflict.state,
+            conflict.terminal,
+            conflict.kind,
+            conflict.actions,
+            conflict.chosen,
+            conflict.resolved_by_precedence,
+        )
+        for conflict in table.conflicts
+    ]
+
+
+def _streams(ctx: OracleContext, terminals: list) -> List[list]:
+    """The context's sentences, then per non-empty sentence its prefix
+    without the last token and a copy with one token swapped for one of
+    *terminals*, then the empty stream."""
+    sentences = ctx.sentences()
+    streams: List[list] = [list(sentence) for sentence in sentences]
+    for index, sentence in enumerate(sentences):
+        if sentence:
+            streams.append(list(sentence[:-1]))
+            swapped = list(sentence)
+            swapped[index % len(swapped)] = terminals[index % len(terminals)]
+            streams.append(swapped)
+    streams.append([])
+    return streams
+
+
+def _outcome(run, words: list) -> tuple:
+    """``run(words)``, or the ParseError's text, position and expected set."""
+    from ..parser.errors import ParseError
+
+    try:
+        return run(list(words))
+    except ParseError as error:
+        return (
+            "error",
+            str(error),
+            error.position,
+            [s.name for s in error.expected],
+        )
 
 
 @oracle("glr-parity")
@@ -500,7 +537,11 @@ def check_glr_parity(ctx: OracleContext) -> Optional[str]:
     any divergence is an engine bug.  On conflicted tables the
     deterministic engine is no reference; there GLR recognition must
     agree with CYK (the LR-independent membership oracle) on every
-    stream.
+    stream, and on a cycle-free grammar without precedence declarations
+    (no conflict resolved away) every accepted stream's
+    ``tree_count(TREE_LIMIT)`` must equal the
+    :class:`~repro.analysis.ambiguity.TreeCounter` count, capped at the
+    same limit.
     """
     from ..parser.engine import Parser
     from ..parser.errors import ParseError
@@ -508,50 +549,30 @@ def check_glr_parity(ctx: OracleContext) -> Optional[str]:
 
     table = ctx.lalr_table
     glr = GlrParser(table)
-    sentences = ctx.sentences()
     # No EOF in the swap alphabet: CYK (the conflicted-branch reference)
     # has no notion of an end marker.
     terminals = sorted(
         (t for t in ctx.augmented.terminals if t is not ctx.augmented.eof),
         key=lambda s: s.name,
     )
-    streams: List[list] = [list(sentence) for sentence in sentences]
-    for index, sentence in enumerate(sentences):
-        if sentence:
-            streams.append(list(sentence[:-1]))
-            swapped = list(sentence)
-            swapped[index % len(swapped)] = terminals[index % len(terminals)]
-            streams.append(swapped)
-    streams.append([])
+    streams = _streams(ctx, terminals)
 
     if table.is_deterministic:
         reference = Parser(table)
+
+        def glr_tree(words):
+            forest = glr.parse_forest(words)
+            count = forest.tree_count(limit=2)
+            return ("tree", forest.tree().sexpr()) if count == 1 else ("trees", count)
+
         for words in streams:
             rendered = " ".join(t.name for t in words) or "<empty>"
-            try:
-                expected = ("tree", reference.parse(list(words)).sexpr())
-            except ParseError as error:
-                expected = (
-                    "error",
-                    str(error),
-                    error.position,
-                    [s.name for s in error.expected],
-                )
-            try:
-                forest = glr.parse_forest(list(words))
-                count = forest.tree_count(limit=2)
-                if count != 1:
-                    return (
-                        f"GLR forest holds {count} trees on {rendered!r} "
-                        f"under a deterministic table (expected exactly 1)"
-                    )
-                outcome = ("tree", forest.tree().sexpr())
-            except ParseError as error:
-                outcome = (
-                    "error",
-                    str(error),
-                    error.position,
-                    [s.name for s in error.expected],
+            expected = _outcome(lambda w: ("tree", reference.parse(w).sexpr()), words)
+            outcome = _outcome(glr_tree, words)
+            if outcome[0] == "trees":
+                return (
+                    f"GLR forest holds {outcome[1]} trees on {rendered!r} "
+                    f"under a deterministic table (expected exactly 1)"
                 )
             if outcome != expected:
                 return (
@@ -560,11 +581,13 @@ def check_glr_parity(ctx: OracleContext) -> Optional[str]:
                 )
         return None
 
-    # Conflicted table: cross-check recognition against CYK on the raw
-    # (pre-augmentation) grammar.
+    # Conflicted table: cross-check recognition against CYK, and tree
+    # counts against the tree counter, on the raw (pre-augmentation)
+    # grammar.
     raw = ctx.grammar
     if raw.is_augmented:
         return None
+    from ..analysis.ambiguity import TreeCounter
     from ..grammar.errors import GrammarValidationError
     from ..parser.cyk import CykRecognizer
 
@@ -572,15 +595,34 @@ def check_glr_parity(ctx: OracleContext) -> Optional[str]:
         cyk = CykRecognizer(raw)
     except GrammarValidationError:
         return None
+    counter = None
+    if not raw.precedence:
+        try:
+            counter = TreeCounter(raw)
+        except GrammarValidationError:
+            pass  # cyclic: infinitely many trees
     for words in streams:
         rendered = " ".join(t.name for t in words) or "<empty>"
-        glr_accepts = glr.accepts(list(words))
-        cyk_accepts = cyk.accepts([t.name for t in words])
+        names = [t.name for t in words]
+        try:
+            forest = glr.parse_forest(list(words))
+        except ParseError:
+            forest = None
+        glr_accepts = forest is not None
+        cyk_accepts = cyk.accepts(names)
         if glr_accepts != cyk_accepts:
             return (
                 f"GLR and CYK disagree on {rendered!r}: "
                 f"GLR={glr_accepts} CYK={cyk_accepts}"
             )
+        if forest is not None and counter is not None:
+            trees = forest.tree_count(TREE_LIMIT)
+            expected = min(counter.count(names), TREE_LIMIT)
+            if trees != expected:
+                return (
+                    f"GLR forest holds {trees} trees on {rendered!r}, "
+                    f"the tree counter {expected} (limit {TREE_LIMIT})"
+                )
     return None
 
 

@@ -17,13 +17,43 @@ Nondeterminism is handled the Tomita/RNGLR way:
   edges are ``(label, target)`` pairs pointing from newer to older nodes,
   labelled with the SPPF node for the symbol that was pushed;
 - a **shared packed parse forest** (SPPF): derivation trees that share a
-  subtree share the node for it.  Nodes are keyed (symbol, start, end);
-  an ambiguous node packs one *family* (production, children) per
-  distinct derivation;
+  subtree share the node for it.  Nodes are keyed (symbol, start, end),
+  interned one input level at a time (every node made at a level ends
+  there); an ambiguous node packs one *family* (production, children)
+  per distinct derivation;
 - a token-synchronized loop: at each input position every pending
   reduction is applied to exhaustion (the *reducer* worklist, including
   ε-reductions and Farshi-style re-reduction when a new GSS edge lands
   on an already-processed node), then all shifts advance together.
+
+Between forks the engine runs in an **LR mode**, the hybrid of Elkhound
+(McPeak and Necula, CC 2004).  While the frontier is one GSS node, the
+stack above that node — the *floor* — is kept as plain lists of
+(state, level, label) entries, and each input level steps on the view's
+``lr_cells`` (one int per cell that holds exactly one action).  A level
+runs its reduce chain into scratch lists and commits them only if every
+cell on the way holds one action, every goto is valid, no goto makes a
+state already made at this level (the general path would merge GSS
+nodes there and re-run reductions), no two reductions make one SPPF key
+(the general path would share the node), and every pop below the floor
+passes single-edge GSS nodes only.  Otherwise the list entries become
+GSS nodes, each entry at most once, and the level runs on the general
+path; the engine returns to LR mode at the next level whose frontier
+holds one node.  The nonterminal SPPF nodes LR mode makes are
+``(production, children)`` tuples, and every leaf is a ``(token,)``
+tuple: allocating an :class:`SppfNode` and a :class:`_GssNode` per step
+is where a general step's time goes.
+
+``ParseForest.stats`` count the RNGLR algorithm's work, whichever mode
+did it: an LR-mode reduction adds one worklist pop, SPPF node, family,
+GSS node and GSS edge, an LR-mode shift one SPPF leaf, GSS node and GSS
+edge — exactly what the general path would have built.  Budget charges
+fall on the same pops and shift edges, so a budget trips at the same
+step with the same progress.  tests/test_glr_pins.py pins the counters
+literally, which makes them a step-for-step oracle for LR mode.  The
+engine also counts the SPPF nodes that get a second family; with none,
+the forest holds exactly one tree and ``ParseForest.tree_count``
+answers without a walk.
 
 On a deterministic table the GSS degenerates to a single chain and the
 engine is observationally identical to the LALR engine: same trees, same
@@ -32,7 +62,7 @@ error strings/positions/expected sets (via the shared
 budget behaviour.  That parity is pinned corpus-wide by
 tests/test_glr.py and the ``glr-parity`` fuzz oracle; on conflicted
 grammars the oracle cross-checks GLR recognition against the CYK
-ground truth instead.
+ground truth and tree counts against the tree counter instead.
 """
 
 from __future__ import annotations
@@ -44,33 +74,40 @@ from ..core import instrument
 from ..grammar.grammar import Grammar
 from ..grammar.production import Production
 from ..grammar.symbols import Symbol
-from ..tables.nondet import NondeterministicTable, nondet_view
+from ..tables.nondet import (
+    LR_ACCEPT,
+    LR_SHIFT,
+    NondeterministicTable,
+    nondet_view,
+)
 from .engine import Token, TokenLike, resolve_token
 from .errors import ParseError, syntax_error
 from .tree import Node
 
 __all__ = ["GlrParser", "ParseForest", "SppfNode"]
 
+#: ``next(stream, _END)``'s end-of-input marker.
+_END = object()
+
 
 class SppfNode:
-    """One shared-packed-parse-forest node: *symbol* over [start, end).
+    """One shared-packed-parse-forest node: nonterminal *symbol* over
+    [start, end), packing one (production, children) family per distinct
+    derivation — more than one family = local ambiguity.
 
-    Terminal nodes carry the token's semantic ``value`` and have no
-    families; nonterminal nodes pack one (production, children) family
-    per distinct derivation — more than one family = local ambiguity.
+    Leaves are ``(token,)`` tuples, and LR mode's nonterminal nodes
+    ``(production, children)`` tuples (see :class:`ParseForest`).
     """
 
-    __slots__ = ("symbol", "start", "end", "value", "families", "_family_keys")
+    __slots__ = ("symbol", "start", "end", "families", "_family_keys")
 
-    def __init__(self, symbol: Symbol, start: int, end: int, value=None):
+    def __init__(self, symbol: Symbol, start: int, end: int):
         self.symbol = symbol
         self.start = start
         self.end = end
-        self.value = value
         self.families: "List[Tuple[Production, tuple]]" = []
-        #: (production index, children) of every family, once there are
-        #: two; nodes hash by identity, so equal keys mean the same
-        #: children objects.
+        #: (production index, children ids...) of every family, once
+        #: there are two: equal keys mean the same children objects.
         self._family_keys: "Optional[set]" = None
 
     def add_family(self, production: Production, children: tuple) -> bool:
@@ -82,8 +119,8 @@ class SppfNode:
         keys = self._family_keys
         if keys is None:
             first, first_children = families[0]
-            keys = self._family_keys = {(first.index, first_children)}
-        key = (production.index, children)
+            keys = self._family_keys = {(first.index, *map(id, first_children))}
+        key = (production.index, *map(id, children))
         if key in keys:
             return False
         keys.add(key)
@@ -131,14 +168,25 @@ class ParseForest:
     skipped, so counts cover the finite derivations only).
     Extracted trees share subtree Node objects where the forest shares
     SPPF nodes; treat them as read-only.
+
+    ``ambiguous_nodes`` is how many SPPF nodes the engine packed a second
+    family into (None: unknown).  With none, every family's children were
+    made before their node, so the forest is a DAG holding exactly one
+    tree: ``tree_count`` and ``is_ambiguous`` answer without a walk.
+
+    The root is an :class:`SppfNode`.  Below it, a leaf is a
+    ``(token,)`` tuple, and a nonterminal the engine built in its LR mode
+    is a ``(production, children)`` tuple, its one family.
     """
 
     def __init__(self, root: "Optional[SppfNode]", grammar: Grammar,
-                 token_count: int, stats: "Optional[Dict[str, int]]" = None):
+                 token_count: int, stats: "Optional[Dict[str, int]]" = None,
+                 ambiguous_nodes: "Optional[int]" = None):
         self.root = root
         self.grammar = grammar
         self.token_count = token_count
         self.stats: "Dict[str, int]" = dict(stats or {})
+        self.ambiguous_nodes = ambiguous_nodes
 
     def trees(self, limit: int = 1000) -> "List[Node]":
         """Up to *limit* derivation trees, in packing (discovery) order."""
@@ -161,6 +209,8 @@ class ParseForest:
         ``limit >= 1`` equal to ``len(self.trees(limit))``."""
         if self.root is None:
             return 0
+        if self.ambiguous_nodes == 0 and limit >= 0:
+            return min(1, limit)
         count = _tree_count(self.root, {}, set(), limit)
         return count if count is not None else 0
 
@@ -169,14 +219,23 @@ class ParseForest:
         return self.tree_count(limit=2) > 1
 
 
-def _tree_list(node: SppfNode, memo: dict, on_path: set, limit: int):
+def _families(node) -> tuple:
+    """*node*'s families in any SPPF form; empty for a leaf."""
+    if type(node) is SppfNode:
+        return node.families
+    return (node,) if len(node) == 2 else ()
+
+
+def _tree_list(node, memo: dict, on_path: set, limit: int):
     """All (up to *limit*) trees rooted at *node*; None = cycle guard hit."""
     key = id(node)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if not node.families:
-        leaves = [Node(node.symbol, value=node.value)]
+    families = _families(node)
+    if not families:
+        token = node[0]
+        leaves = [Node(token.symbol, value=token.value)]
         memo[key] = leaves
         return leaves
     if key in on_path:
@@ -184,7 +243,7 @@ def _tree_list(node: SppfNode, memo: dict, on_path: set, limit: int):
     on_path.add(key)
     out: "List[Node]" = []
     clean = True
-    for production, children in node.families:
+    for production, children in families:
         combos: "List[List[Node]]" = [[]]
         for child in children:
             sub = _tree_list(child, memo, on_path, limit)
@@ -212,7 +271,7 @@ def _tree_list(node: SppfNode, memo: dict, on_path: set, limit: int):
     return out
 
 
-def _tree_count(node: SppfNode, memo: dict, on_path: set, limit: int):
+def _tree_count(node, memo: dict, on_path: set, limit: int):
     """``len(_tree_list(node, ...))`` without the trees: the same walk,
     memo, cycle guard, truncation points and "clean" rule, over
     saturating integers instead of lists.  None = cycle guard hit."""
@@ -220,7 +279,8 @@ def _tree_count(node: SppfNode, memo: dict, on_path: set, limit: int):
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if not node.families:
+    families = _families(node)
+    if not families:
         memo[key] = 1
         return 1
     if key in on_path:
@@ -228,7 +288,7 @@ def _tree_count(node: SppfNode, memo: dict, on_path: set, limit: int):
     on_path.add(key)
     total = 0
     clean = True
-    for _production, children in node.families:
+    for _production, children in families:
         combos = 1
         for child in children:
             sub = _tree_count(child, memo, on_path, limit)
@@ -314,17 +374,29 @@ class GlrParser:
         reduce_nonempty_cells = view.reduce_nonempty_cells
         shift_cells = view.shift_cells
         accept_cells = view.accept_cells
+        lr_cells = view.lr_cells
         arities = view.arities
         lhs_nts = view.lhs_nts
         goto_codes = view.goto_codes
         productions = grammar.productions
         eof_tid = self._eof_tid
         tok_cache = self._tok_cache
+        tok_cache_get = tok_cache.get
+        start_sid = self._ids.sid_or_none(grammar.original_start)
 
-        #: (symbol sid, start, end) -> the interned SPPF node.
-        sppf: "Dict[Tuple[int, int, int], SppfNode]" = {}
-        #: state -> GSS node for the current input level.
-        frontier: "Dict[int, _GssNode]" = {0: _GssNode(0, 0)}
+        # LR mode: the stack above the GSS node `floor`, as parallel lists
+        # of states, input levels and edge labels (SPPF nodes), bottom
+        # first.  `frontier` is None while the engine is in LR mode.
+        floor = _GssNode(0, 0)
+        lr_states: "List[int]" = []
+        lr_levels: "List[int]" = []
+        lr_labels: list = []
+        frontier: "Optional[Dict[int, _GssNode]]" = None
+        #: The input level at which LR mode last made each state and each
+        #: LHS nonterminal, and the start of that LHS's SPPF node.
+        state_made = [-1] * view.n_states
+        lhs_made = [-1] * n_nts
+        lhs_start = [0] * n_nts
         #: (GSS node, production index, first edge or None); empty
         #: between input levels.
         worklist: deque = deque()
@@ -334,20 +406,165 @@ class GlrParser:
         stream = iter(tokens)
         eof_token = Token(self._eof, None)
         position = 0
+        root = None
         gss_nodes = 1
         gss_edges = sppf_nodes = sppf_families = 0
         reductions = shifts = worklist_pops = 0
-
-        try:
-            raw = next(stream)
-        except StopIteration:
-            token, tid = eof_token, eof_tid
-        else:
-            token, tid = resolve_token(grammar, tok_cache, raw, position)
+        ambiguous_nodes = 0
+        #: LR mode's work in the general path's units: a reduction is one
+        #: pop, SPPF node, family, GSS node and edge; a shift is one SPPF
+        #: leaf, GSS node and edge.
+        lr_reductions = lr_leaves = lr_shifts = 0
 
         try:
             while True:
+                raw = next(stream, _END)
+                if raw is _END:
+                    token, tid = eof_token, eof_tid
+                else:
+                    entry = tok_cache_get(raw) if type(raw) is str else None
+                    token, tid = entry or resolve_token(grammar, tok_cache, raw, position)
+
+                if frontier is None and tid is not None:
+                    # ---- LR mode: one deterministic level on the lists ----
+                    # The level's reduce chain runs into made_*; `top` and
+                    # `below` track how far it pops the lists and the GSS
+                    # chain under them.  It commits only if every cell on
+                    # the way holds one action, every goto is valid and
+                    # makes a state and an SPPF key not yet made at this
+                    # level (no GSS merge, no SPPF sharing), every pop
+                    # below the floor meets single-edge GSS nodes, and the
+                    # chain ends in a shift or, on $end, in accept.
+                    # Otherwise nothing has changed and the level runs on
+                    # the general path.
+                    top = len(lr_states)  # list entries still on the stack
+                    below = floor  # the GSS node under them
+                    made_states: "List[int]" = []
+                    made_labels: list = []
+                    reduced = 0
+                    starts = None  # LHS -> starts, once an LHS repeats
+                    clean = False
+                    state = lr_states[-1] if top else floor.state
+                    state_made[state] = position
+                    code = lr_cells[state * width + tid]
+                    while code >= 0:
+                        arity = arities[code]
+                        held = len(made_labels)
+                        if arity <= held:
+                            if arity == 1:
+                                children = (made_labels.pop(),)
+                                made_states.pop()
+                            elif arity:
+                                children = tuple(made_labels[-arity:])
+                                del made_states[-arity:]
+                                del made_labels[-arity:]
+                            else:
+                                children = ()
+                        else:
+                            lower = top - arity + held
+                            if lower >= 0:
+                                if held:
+                                    children = tuple(lr_labels[lower:top] + made_labels)
+                                else:
+                                    children = tuple(lr_labels[lower:top])
+                                top = lower
+                            else:
+                                # The path runs on below the floor.
+                                chain = []
+                                node = below
+                                while lower and len(node.edges) == 1:
+                                    label, node = node.edges[0]
+                                    chain.append(label)
+                                    lower += 1
+                                if lower:
+                                    break
+                                chain.reverse()
+                                children = tuple(chain + lr_labels[:top] + made_labels)
+                                below = node
+                                top = 0
+                            made_states = []
+                            made_labels = []
+                        if made_states:
+                            base = made_states[-1]
+                            start = position
+                        elif top:
+                            base = lr_states[top - 1]
+                            start = lr_levels[top - 1]
+                        else:
+                            base = below.state
+                            start = below.level
+                        lhs = lhs_nts[code]
+                        state = goto_codes[base * n_nts + lhs]
+                        if state < 0 or state_made[state] == position:
+                            break
+                        state_made[state] = position
+                        if lhs_made[lhs] == position:
+                            # A second node for this LHS: it must start
+                            # elsewhere than every earlier one.
+                            if starts is None:
+                                starts = {}
+                            seen = starts.get(lhs)
+                            if seen is None:
+                                seen = starts[lhs] = {lhs_start[lhs]}
+                            if start in seen:
+                                break
+                            seen.add(start)
+                        lhs_made[lhs] = position
+                        lhs_start[lhs] = start
+                        made_states.append(state)
+                        made_labels.append((productions[code], children))
+                        reduced += 1
+                        code = lr_cells[state * width + tid]
+                    else:
+                        clean = code == LR_ACCEPT if tid == eof_tid else code <= LR_SHIFT
+                    if clean:
+                        # Commit.  The steps are charged now, one per
+                        # reduction in order, so a budget trips with the
+                        # counts the general path would have had.
+                        if budget is None:
+                            lr_reductions += reduced
+                        else:
+                            for _ in range(reduced):
+                                budget.charge_parse_step()
+                                lr_reductions += 1
+                        if top < len(lr_states):
+                            del lr_states[top:]
+                            del lr_levels[top:]
+                            del lr_labels[top:]
+                        floor = below
+                        if made_states:
+                            lr_states += made_states
+                            lr_levels += [position] * len(made_states)
+                            lr_labels += made_labels
+                        if code == LR_ACCEPT:
+                            # Only S' -> S . $end accepts, and only the S
+                            # reduction from state 0 reaches that state.
+                            root = lr_labels[-1]
+                            break
+                        if budget is not None:
+                            budget.charge_tokens(1)
+                        lr_leaves += 1
+                        if budget is not None:
+                            budget.charge_parse_step()
+                        lr_shifts += 1
+                        lr_states.append(LR_SHIFT - code)
+                        lr_levels.append(position + 1)
+                        lr_labels.append((token,))
+                        position += 1
+                        continue
+                # ---- leave LR mode: the list entries become GSS nodes ----
+                if frontier is None:
+                    node = floor
+                    for state, level, label in zip(lr_states, lr_levels, lr_labels):
+                        above = _GssNode(state, level)
+                        above.edges.append((label, node))
+                        node = above
+                    frontier = {node.state: node}
+
                 # ---- reducer: apply every reduction visible under `tid` ----
+                #: (symbol sid, start) -> the SPPF node interned at this
+                #: level (every node made here ends at `position`).
+                sppf: "Dict[Tuple[int, int], SppfNode]" = {}
                 if tid is not None:
                     for node in frontier.values():
                         for prod_index in reduce_cells[node.state * width + tid]:
@@ -378,7 +595,7 @@ class GlrParser:
                             # simply dies (only *all* branches dying is a
                             # syntax error, detected at shift time).
                             continue
-                        key = (lhs_sid, base.level, position)
+                        key = (lhs_sid, base.level)
                         packed = sppf.get(key)
                         if packed is None:
                             packed = sppf[key] = SppfNode(
@@ -387,6 +604,8 @@ class GlrParser:
                             sppf_nodes += 1
                         if packed.add_family(production, children):
                             sppf_families += 1
+                            if len(packed.families) == 2:
+                                ambiguous_nodes += 1
                         reductions += 1
                         target = frontier.get(goto)
                         if target is None:
@@ -432,6 +651,7 @@ class GlrParser:
                             break
                     else:
                         raise self._syntax_error(position, token, frontier, tid)
+                    root = sppf.get((start_sid, 0))
                     break  # accepted: the forest is built below
 
                 # ---- shifter: every branch advances over the token ----------
@@ -444,9 +664,7 @@ class GlrParser:
                     raise self._syntax_error(position, token, frontier, tid)
                 if budget is not None:
                     budget.charge_tokens(1)
-                leaf = SppfNode(
-                    token.symbol, position, position + 1, value=token.value
-                )
+                leaf = (token,)
                 sppf_nodes += 1
                 next_frontier: "Dict[int, _GssNode]" = {}
                 for base, state in shift_edges:
@@ -461,21 +679,22 @@ class GlrParser:
                     shifts += 1
                 frontier = next_frontier
                 position += 1
-                try:
-                    raw = next(stream)
-                except StopIteration:
-                    token, tid = eof_token, eof_tid
-                else:
-                    token, tid = resolve_token(grammar, tok_cache, raw, position)
+                if len(frontier) == 1:
+                    # One stack top again: back to LR mode above it.
+                    (floor,) = frontier.values()
+                    frontier = None
+                    lr_states = []
+                    lr_levels = []
+                    lr_labels = []
         finally:
             stats = {
-                "gss_nodes": gss_nodes,
-                "gss_edges": gss_edges,
-                "sppf_nodes": sppf_nodes,
-                "sppf_families": sppf_families,
-                "reductions": reductions,
-                "shifts": shifts,
-                "worklist_pops": worklist_pops,
+                "gss_nodes": gss_nodes + lr_reductions + lr_shifts,
+                "gss_edges": gss_edges + lr_reductions + lr_shifts,
+                "sppf_nodes": sppf_nodes + lr_reductions + lr_leaves,
+                "sppf_families": sppf_families + lr_reductions,
+                "reductions": reductions + lr_reductions,
+                "shifts": shifts + lr_shifts,
+                "worklist_pops": worklist_pops + lr_reductions,
             }
             if budget is not None:
                 budget.publish()
@@ -483,8 +702,11 @@ class GlrParser:
                 instrument.count("glr.tokens", position)
                 for name, value in stats.items():
                     instrument.count(f"glr.{name}", value)
-        start_sid = self._ids.sid_or_none(grammar.original_start)
-        return ParseForest(sppf.get((start_sid, 0, position)), grammar, position, stats)
+        if type(root) is tuple:
+            production, children = root
+            root = SppfNode(production.lhs, 0, position)
+            root.add_family(production, children)
+        return ParseForest(root, grammar, position, stats, ambiguous_nodes)
 
     def _syntax_error(
         self, position: int, token: Token, frontier, tid: "Optional[int]"

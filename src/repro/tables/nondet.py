@@ -28,7 +28,11 @@ view also flattens every cell into integer code tuples indexed by
 ``reduce_cells`` (every reduce's production index), ``reduce_nonempty_cells``
 (the non-ε ones, which Farshi re-reduction re-runs), ``shift_cells``
 (target states) and ``accept_cells`` (a flag).  Clean cells with the
-same code share their tuples.
+same code share their tuples.  ``lr_cells`` flattens the same cells once
+more for the engine's LR mode: a cell holding exactly one action becomes
+one int (a production index for a reduce, :data:`LR_ACCEPT`, or
+``LR_SHIFT - state`` for a shift); an empty or forked cell is
+:data:`LR_NONE`.
 
 The view works the same over a freshly built table and one loaded from
 either artifact format.
@@ -40,7 +44,13 @@ from typing import Dict, List, Tuple
 
 from .table import Action, ActionDecoder, ParseTable
 
-__all__ = ["NondeterministicTable", "nondet_view"]
+__all__ = ["LR_ACCEPT", "LR_NONE", "LR_SHIFT", "NondeterministicTable", "nondet_view"]
+
+#: ``lr_cells`` codes below zero: no single action, accept, and the base
+#: of the shift codes (``LR_SHIFT - state``).
+LR_NONE = -1
+LR_ACCEPT = -2
+LR_SHIFT = -3
 
 
 def _cell_order(action: Action) -> "Tuple[int, int]":
@@ -50,6 +60,16 @@ def _cell_order(action: Action) -> "Tuple[int, int]":
     if action.kind == "shift":
         return (1, action.state)
     return (2, action.production)
+
+
+def _single(cell: tuple) -> int:
+    """One split cell as its ``lr_cells`` code."""
+    reduces, _, shifts, accept = cell
+    if len(reduces) + len(shifts) + accept != 1:
+        return LR_NONE
+    if reduces:
+        return reduces[0]
+    return LR_SHIFT - shifts[0] if shifts else LR_ACCEPT
 
 
 def _split(actions: "Tuple[Action, ...]", arities: "List[int]") -> tuple:
@@ -73,8 +93,8 @@ class NondeterministicTable:
             = syntax error); at most one cell per unresolved conflict
             holds more than one.
         conflict_cells: How many cells hold more than one action.
-        reduce_cells, reduce_nonempty_cells, shift_cells, accept_cells:
-            The same cells as integer codes, flat over
+        reduce_cells, reduce_nonempty_cells, shift_cells, accept_cells,
+        lr_cells: The same cells as integer codes, flat over
             ``state * num_terminals + terminal_id`` (module docstring).
         goto_codes: The table's ``goto_codes`` as a list.
         arities, lhs_nts: Per production, the RHS length and the LHS
@@ -136,6 +156,14 @@ class NondeterministicTable:
         self.reduce_nonempty_cells = [cell[1] for cell in cells]
         self.shift_cells = [cell[2] for cell in cells]
         self.accept_cells = [cell[3] for cell in cells]
+        singles: "Dict[int, int]" = {}
+        lr_cells: "List[int]" = []
+        for cell in cells:
+            code = singles.get(id(cell))
+            if code is None:
+                code = singles[id(cell)] = _single(cell)
+            lr_cells.append(code)
+        self.lr_cells = lr_cells
 
     @property
     def n_states(self) -> int:

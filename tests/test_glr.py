@@ -22,6 +22,8 @@ from repro.grammar.errors import GrammarValidationError
 from repro.grammars import corpus
 from repro.grammars.random_gen import random_grammar
 from repro.parser import ConflictedTableError, CykRecognizer, GlrParser, ParseError, Parser
+from repro.parser.glr import ParseForest
+from repro.tables.nondet import LR_ACCEPT, LR_NONE, LR_SHIFT
 from repro.tables import (
     build_lalr_table,
     nondet_view,
@@ -252,6 +254,22 @@ class TestNondetView:
         table = _TABLES["expr"]
         assert nondet_view(table) is nondet_view(table)
 
+    @pytest.mark.parametrize("name", sorted(_TABLES))
+    def test_lr_cells_hold_the_single_actions(self, name):
+        view = nondet_view(_TABLES[name])
+        width = len(view.rows[0])
+        for state, row in enumerate(view.rows):
+            for tid, actions in enumerate(row):
+                code = view.lr_cells[state * width + tid]
+                if len(actions) != 1:
+                    assert code == LR_NONE
+                elif actions[0].kind == "reduce":
+                    assert code == actions[0].production
+                elif actions[0].kind == "shift":
+                    assert code == LR_SHIFT - actions[0].state
+                else:
+                    assert code == LR_ACCEPT
+
 
 class TestArtifactRoundTrip:
     """Conflicted tables survive both artifact formats with the GLR
@@ -374,6 +392,54 @@ class TestTreeCountTwin:
             self._assert_twins(forest)
 
 
+class TestTreeCountWithoutWalk:
+    """With no SPPF node holding a second family the forest holds exactly
+    one tree, and ``tree_count`` answers without walking it.  The walk
+    (a forest that does not know its ambiguous-node count) is the
+    oracle."""
+
+    LIMITS = (0, 1, 2, 1000)
+
+    def _assert_walk_agrees(self, forest):
+        walked = ParseForest(forest.root, forest.grammar, forest.token_count)
+        for limit in self.LIMITS:
+            assert forest.tree_count(limit) == walked.tree_count(limit), limit
+        assert forest.is_ambiguous == walked.is_ambiguous
+
+    @pytest.mark.parametrize("name", DETERMINISTIC)
+    def test_deterministic_corpus(self, name):
+        table = _TABLES[name]
+        glr = GlrParser(table)
+        for words in _streams(table.grammar):
+            try:
+                forest = glr.parse_forest(list(words))
+            except ParseError:
+                continue
+            assert forest.ambiguous_nodes == 0
+            self._assert_walk_agrees(forest)
+
+    @pytest.mark.parametrize(
+        "text, words, ambiguous",
+        [
+            ("dangling_else", "if other else other", False),
+            ("dangling_else", "if if other else other", True),
+            ("dangling_else", "if if if other else other else other", True),
+            ("E -> E E | a", "a", False),
+            ("E -> E E | a", "a a a a a a", True),
+            ("S -> S S | a | %empty", "", True),
+            ("S -> S S | a | %empty", "a a a", True),
+        ],
+    )
+    def test_conflicted_and_cyclic(self, text, words, ambiguous):
+        if "->" in text:
+            table = build_lalr_table(load_grammar(text).augmented())
+        else:
+            table = _TABLES[text]
+        forest = GlrParser(table).parse_forest(words.split())
+        assert (forest.ambiguous_nodes > 0) == ambiguous
+        self._assert_walk_agrees(forest)
+
+
 def _mini_c_tokens(count, seed):
     generator = SentenceGenerator(corpus.load("mini_c"), seed=seed)
     tokens = []
@@ -422,6 +488,8 @@ class TestLrModeSeams:
         # Nested if/else forks in the middle of a long stream; the closing
         # reductions pop through the GSS nodes made at the fork.
         "mini_c_nested_if": ("mini_c", None),
+        # Two A -> %empty reductions at one level share one SPPF node.
+        "repeated_epsilon_key": ("S -> S A A x | x\nA -> %empty", "x x x x"),
     }
 
     #: name -> (stats, tree_count(1000), sha256 of tree().format()).
@@ -445,6 +513,10 @@ class TestLrModeSeams:
         "mini_c_nested_if": (
             (2472, 2502, 2502, 1811, 1811, 692, 1810), 2,
             "6d3e73c06b591b42ad17cd88874cbdf37c5ec9c6a1b17af4c7d89b687d442751",
+        ),
+        "repeated_epsilon_key": (
+            (15, 14, 11, 7, 10, 4, 10), 1,
+            "961868d2d1c12165888c5607ed6dad98445698c09bba695df67e820b5159987c",
         ),
     }
 
