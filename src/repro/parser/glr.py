@@ -209,7 +209,7 @@ class ParseForest:
         ``limit >= 1`` equal to ``len(self.trees(limit))``."""
         if self.root is None:
             return 0
-        if self.ambiguous_nodes == 0 and limit >= 0:
+        if self.ambiguous_nodes == 0:
             return min(1, limit)
         count = _tree_count(self.root, {}, set(), limit)
         return count if count is not None else 0

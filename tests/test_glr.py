@@ -398,7 +398,7 @@ class TestTreeCountWithoutWalk:
     (a forest that does not know its ambiguous-node count) is the
     oracle."""
 
-    LIMITS = (0, 1, 2, 1000)
+    LIMITS = (-1, 0, 1, 2, 1000)
 
     def _assert_walk_agrees(self, forest):
         walked = ParseForest(forest.root, forest.grammar, forest.token_count)
