@@ -51,6 +51,31 @@ from ..grammar.symbols import Symbol, SymbolIds
 from .items import Item, format_item
 
 
+def closure_row(
+    grammar: Grammar, nt_id: int, shift: int
+) -> "Tuple[Tuple[int, ...], Tuple[Item, ...], Tuple[Tuple[int, int], ...]]":
+    """One nonterminal's row of the closure tables (see
+    :meth:`LR0Automaton._prepare_closure_tables`): the nonterminal ids
+    its productions expose at dot 0, its ``A -> .`` items, and its
+    ``(sid, packed Item(p, 1))`` shift entries — all in declaration
+    order.  A row depends only on *nt_id*'s own productions and the dot
+    width *shift*."""
+    num_terminals = grammar.ids.num_terminals
+    exposed: List[int] = []
+    finals: List[Item] = []
+    entries: List[Tuple[int, int]] = []
+    for production in grammar.productions_for_ntid(nt_id):
+        rhs_sids = production.rhs_sids
+        if rhs_sids:
+            first_sid = rhs_sids[0]
+            entries.append((first_sid, (production.index << shift) | 1))
+            if first_sid >= num_terminals:
+                exposed.append(first_sid - num_terminals)
+        else:
+            finals.append(Item(production.index, 0))
+    return tuple(exposed), tuple(finals), tuple(entries)
+
+
 class LR0State:
     """One state of the LR(0) automaton.
 
@@ -207,8 +232,9 @@ class LR0Automaton:
           ``nt``'s derived items.
 
         The tables depend only on the grammar, so they are cached on the
-        grammar instance — the incremental splice prepares them for every
-        edit, and grammars are immutable after construction.
+        grammar instance (grammars are immutable after construction); the
+        incremental splice seeds an edited grammar's cache from its
+        parent's, rebuilding only the dirty rows with :func:`closure_row`.
         """
         grammar = self.grammar
         cached = grammar.__dict__.get("_closure_tables")
@@ -227,36 +253,20 @@ class LR0Automaton:
         self._dot_shift = shift = max(1, max_rhs.bit_length())
         self._dot_mask = (1 << shift) - 1
         self._prod_rhs_sids = [p.rhs_sids for p in productions]
-        num_terminals = self.ids.num_terminals
-        first_nts: List[Tuple[int, ...]] = []
-        epsilon_items: List[Tuple[Item, ...]] = []
-        shift_entries: List[Tuple[Tuple[int, int], ...]] = []
-        for nt_id in range(self.ids.num_nonterminals):
-            exposed: List[int] = []
-            finals: List[Item] = []
-            entries: List[Tuple[int, int]] = []
-            for production in grammar.productions_for_ntid(nt_id):
-                rhs_sids = production.rhs_sids
-                if rhs_sids:
-                    first_sid = rhs_sids[0]
-                    entries.append((first_sid, (production.index << shift) | 1))
-                    if first_sid >= num_terminals:
-                        exposed.append(first_sid - num_terminals)
-                else:
-                    finals.append(Item(production.index, 0))
-            first_nts.append(tuple(exposed))
-            epsilon_items.append(tuple(finals))
-            shift_entries.append(tuple(entries))
-        self._nt_first_nts = first_nts
-        self._nt_epsilon_items = epsilon_items
-        self._nt_shift_entries = shift_entries
+        rows = [
+            closure_row(grammar, nt_id, shift)
+            for nt_id in range(self.ids.num_nonterminals)
+        ]
+        self._nt_first_nts = [row[0] for row in rows]
+        self._nt_epsilon_items = [row[1] for row in rows]
+        self._nt_shift_entries = [row[2] for row in rows]
         grammar._closure_tables = (
             self._dot_shift,
             self._dot_mask,
             self._prod_rhs_sids,
-            first_nts,
-            epsilon_items,
-            shift_entries,
+            self._nt_first_nts,
+            self._nt_epsilon_items,
+            self._nt_shift_entries,
         )
 
     def _intern(

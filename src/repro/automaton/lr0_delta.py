@@ -45,7 +45,7 @@ from ..core import instrument
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
 from .items import Item
-from .lr0 import LR0Automaton, LR0State
+from .lr0 import LR0Automaton, LR0State, closure_row
 
 __all__ = ["IncrementalFallback", "splice_lr0", "dirty_states"]
 
@@ -138,7 +138,10 @@ def splice_lr0(
         IncrementalFallback: The edit re-shaped the automaton (or
             widened the item packing) and cannot be spliced.
     """
+    changed_productions = tuple(changed_productions)
+    dirty_nonterminals = tuple(dirty_nonterminals)
     with instrument.span("lr0.splice"):
+        _carry_closure_tables(old, grammar, changed_productions, dirty_nonterminals)
         shell = object.__new__(LR0Automaton)
         shell.grammar = grammar
         shell.ids = grammar.ids
@@ -215,6 +218,48 @@ def splice_lr0(
         instrument.count("phase.lr0.states_recomputed", len(dirty_ids))
         instrument.count("phase.lr0.states_reused", len(states) - len(dirty_ids))
     return shell, dirty, dirty_ids
+
+
+def _carry_closure_tables(
+    old: LR0Automaton,
+    grammar: Grammar,
+    changed_productions: Tuple[int, ...],
+    dirty_nonterminals: Tuple[Symbol, ...],
+) -> None:
+    """Seed *grammar*'s closure tables from *old*'s grammar.
+
+    A closure-table row depends only on its nonterminal's productions
+    and the dot width, so under an rhs edit that keeps the width only
+    the dirty nonterminals' rows and the changed productions'
+    ``_prod_rhs_sids`` entries differ; every other row is shared.  When
+    the width changes (or there is nothing to carry) nothing is seeded:
+    :meth:`LR0Automaton._prepare_closure_tables` builds the tables in
+    full and the caller's width guard falls back.
+    """
+    if "_closure_tables" in grammar.__dict__:
+        return
+    carried = old.grammar.__dict__.get("_closure_tables")
+    if carried is None:
+        return
+    shift, mask, rhs_sids_of, first_nts, epsilon_items, shift_entries = carried
+    productions = grammar.productions
+    rhs_sids_of = list(rhs_sids_of)
+    for index in changed_productions:
+        rhs_sids_of[index] = productions[index].rhs_sids
+    if max(1, max(map(len, rhs_sids_of)).bit_length()) != shift:
+        return
+    first_nts, epsilon_items, shift_entries = (
+        list(first_nts), list(epsilon_items), list(shift_entries)
+    )
+    nonterminal_id = grammar.ids.nonterminal_id
+    for symbol in dirty_nonterminals:
+        nt_id = nonterminal_id(symbol)
+        first_nts[nt_id], epsilon_items[nt_id], shift_entries[nt_id] = (
+            closure_row(grammar, nt_id, shift)
+        )
+    grammar._closure_tables = (
+        shift, mask, rhs_sids_of, first_nts, epsilon_items, shift_entries
+    )
 
 
 def _close_kernel(

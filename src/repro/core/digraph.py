@@ -397,7 +397,7 @@ def digraph_int_incremental(
 
     # Solve the dirty subgraph.  Clean successors are frozen: their old
     # F* folds into the dirty reader's sub-seed.
-    dirty_list = [node for node in range(num_nodes) if dirty[node]]
+    dirty_list = sorted(worklist)  # every dirty node, once, ascending
     sub_index = {node: i for i, node in enumerate(dirty_list)}
     sub_offsets: List[int] = [0]
     sub_edges: List[int] = []

@@ -115,14 +115,22 @@ class LalrAnalysis:
         reads_scc_nodes: List[Tuple[int, ...]],
         includes_scc_nodes: List[Tuple[int, ...]],
         budget=None,
+        old: "LalrAnalysis | None" = None,
+        dirty_follow: "bytearray | None" = None,
     ) -> None:
         """Phase 3 (LA unions) plus the shared epilogue.
 
         Factored out of ``__init__`` so the incremental assembly path
-        (:meth:`spliced_from`) finishes identically: the LA dict is
+        (:meth:`spliced_from`) finishes identically.  From scratch, and
+        on a splice that changed the lookback relation, the LA dict is
         rebuilt here in ``lookback_nodes`` insertion order, which both
         construction paths produce identically, so ``la_masks`` comes
-        out bit-identical either way.
+        out bit-identical either way.  On a splice that kept the lookback
+        relation (*old*'s ``lookback_nodes`` object is shared), *old*'s
+        dict is copied — same keys, same order — and only the sites fed
+        by a node of *dirty_follow* whose Follow mask changed are
+        re-unioned.  ``la_changed_sites`` lists the sites whose mask
+        differs from *old*'s (None from scratch).
         """
         relations = self.relations
         # Phase 3: LA = union of Follow over `lookback`.
@@ -131,15 +139,28 @@ class LalrAnalysis:
         with instrument.span("lalr.la"):
             follow_masks = self._follow_masks
             stats = self.stats
-            self.la_masks: Dict[ReductionSite, int] = {}
-            for site, lookback_nodes in relations.lookback_nodes.items():
-                if budget is not None:
-                    budget.tick()
-                mask = 0
-                for node in lookback_nodes:
-                    mask |= follow_masks[node]
-                    stats.unions += 1
-                self.la_masks[site] = mask
+            self.la_changed_sites: "List[ReductionSite] | None" = None
+            if old is not None and relations.lookback_nodes is old.relations.lookback_nodes:
+                self._patch_la(old, dirty_follow)
+            else:
+                self.la_masks: Dict[ReductionSite, int] = {}
+                for site, lookback_nodes in relations.lookback_nodes.items():
+                    if budget is not None:
+                        budget.tick()
+                    mask = 0
+                    for node in lookback_nodes:
+                        mask |= follow_masks[node]
+                        stats.unions += 1
+                    self.la_masks[site] = mask
+                if old is not None:
+                    # Sites that appear or vanish belong to recomputed
+                    # states, which the table refill redoes anyway.
+                    old_get = old.la_masks.get
+                    self.la_changed_sites = [
+                        site
+                        for site, mask in self.la_masks.items()
+                        if old_get(site) != mask
+                    ]
         if budget is not None:
             budget.publish()
         instrument.count("lalr.lookahead_sites", len(self.la_masks))
@@ -162,6 +183,38 @@ class LalrAnalysis:
         ]
         self._read_sets_view: "Dict[Transition, int] | None" = None
         self._follow_sets_view: "Dict[Transition, int] | None" = None
+
+    def _patch_la(self, old: "LalrAnalysis", dirty_follow: bytearray) -> None:
+        """The LA dict of a splice that kept *old*'s lookback relation.
+
+        LA(site) is the union of Follow over the site's lookback nodes,
+        so it can differ only at the sites (``walk_sites``) fed by a
+        node whose Follow mask changed — and only the incremental
+        includes pass's dirty nodes can have changed.  ``stats.unions``
+        still counts one union per lookback edge, as the full rebuild
+        does, from the total the relations carry.
+        """
+        relations = self.relations
+        follow_masks, old_follow = self._follow_masks, old._follow_masks
+        walk_sites = relations.walk_sites
+        stale = set()
+        node = dirty_follow.find(1)
+        while node >= 0:
+            if follow_masks[node] != old_follow[node]:
+                stale.update(walk_sites[node])
+            node = dirty_follow.find(1, node + 1)
+        la_masks = self.la_masks = dict(old.la_masks)
+        lookback = relations.lookback_nodes
+        changed: List[ReductionSite] = []
+        for site in stale:
+            mask = 0
+            for node in lookback[site]:
+                mask |= follow_masks[node]
+            if mask != la_masks[site]:
+                la_masks[site] = mask
+                changed.append(site)
+        self.la_changed_sites = changed
+        self.stats.unions += relations.stats()["lookback_edges"]
 
     @classmethod
     def spliced_from(
@@ -227,13 +280,11 @@ class LalrAnalysis:
         old_read_masks = old._read_masks
         includes_seeds = list(changed_includes)
         seeded = set(changed_includes)
-        for node in range(n_nodes):
-            if (
-                dirty_reads[node]
-                and read_masks[node] != old_read_masks[node]
-                and node not in seeded
-            ):
+        node = dirty_reads.find(1)
+        while node >= 0:
+            if read_masks[node] != old_read_masks[node] and node not in seeded:
                 includes_seeds.append(node)
+            node = dirty_reads.find(1, node + 1)
         with instrument.span("lalr.digraph.includes"):
             follow_masks, dirty_includes_sccs, dirty_includes = (
                 digraph_int_incremental(
@@ -254,7 +305,9 @@ class LalrAnalysis:
             if not dirty_includes[component[0]]
         ] + dirty_includes_sccs
 
-        self._finish(reads_scc_nodes, includes_scc_nodes)
+        self._finish(
+            reads_scc_nodes, includes_scc_nodes, old=old, dirty_follow=dirty_includes
+        )
         return self
 
     # -- diagnostics -----------------------------------------------------

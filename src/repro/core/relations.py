@@ -120,6 +120,14 @@ class LalrRelations:
         # splice layer.  Invariant across rhs splices: the lr0 guards
         # pin both the node space and every successor state id.
         self.successors: "array | None" = None
+        # Inverted indexes for the splice layer, built on the first
+        # splice and carried: state -> nodes whose goto target it is
+        # (``readers``, invariant like ``successors``), and
+        # ``walk_index`` = (state -> nodes whose walks step through it,
+        # nt id -> nodes with that lhs).  See
+        # :mod:`repro.core.relations_delta`.
+        self.readers: "List[List[int]] | None" = None
+        self.walk_index: "Tuple[List[List[int]], List[List[int]]] | None" = None
         # Reverse (predecessor) views of the reads/includes CSRs, built
         # lazily by the incremental digraph passes and *patched* across
         # splices (only changed rows move) rather than rebuilt.

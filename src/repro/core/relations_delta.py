@@ -15,11 +15,21 @@ rebuilds only the relation rows an rhs edit can have touched:
   (edge emissions, lookback sites) verbatim, so bucket contents and the
   lookback dict's insertion order come out identical to from-scratch.
 
-Nullability is global input to both: if the edit changed the nullable
-set every row is suspect, and this layer raises
+Nullability is global input to both.  An edit whose changed rules hold
+a terminal in both their old and their new right-hand sides cannot
+change the nullable set (neither version of those rules can ever derive
+the empty string), so the parent's set is carried to the edited grammar
+without a recount.  Otherwise the set is recomputed, and if it changed
+every row is suspect: this layer raises
 :class:`~repro.automaton.lr0_delta.IncrementalFallback` rather than
-chase the dependency (a documented v1 limitation — the session rebuilds
-from scratch, which is always correct).
+chase the dependency (the session rebuilds from scratch, which is
+always correct).
+
+Finding the dirty work is O(answer), not O(grammar): two inverted
+indexes, built on the first splice and carried across later ones, map
+a state to the walks that step through it and to the nodes whose goto
+target it is (see :func:`build_walk_index` and
+:func:`build_successor_readers`).
 
 The node space (``packed``/``node_index``) is shared object-level with
 the old relations: the automaton splice already verified no state's
@@ -32,7 +42,7 @@ Besides the new relations, the splice reports which rows actually
 from __future__ import annotations
 
 from array import array
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..analysis.nullable import nullable_nonterminals
 from ..automaton.lr0 import LR0Automaton
@@ -41,16 +51,21 @@ from ..grammar.symbols import Symbol
 from . import instrument
 from .relations import LalrRelations, ReductionSite
 
-__all__ = ["splice_relations"]
+__all__ = ["build_successor_readers", "build_walk_index", "splice_relations"]
 
 
 def splice_relations(
     old: LalrRelations,
     automaton: LR0Automaton,
-    dirty: bytearray,
-    dirty_nonterminals: "frozenset[Symbol]",
+    dirty_ids: List[int],
+    changed_productions: Iterable[int],
+    dirty_nonterminals: "Iterable[Symbol]",
 ) -> "Tuple[LalrRelations, List[int], List[int]]":
     """Relations for the spliced *automaton*, reusing *old*'s clean rows.
+
+    *dirty_ids* are the ascending dirty state ids
+    :func:`~repro.automaton.lr0_delta.splice_lr0` returned;
+    *changed_productions*/*dirty_nonterminals* are the rhs delta.
 
     Returns ``(relations, changed_reads_nodes, changed_includes_nodes)``
     where the two node lists are the rows whose content differs from
@@ -64,6 +79,16 @@ def splice_relations(
     if old.walk_edges is None:
         raise IncrementalFallback("old relations carry no walk memo")
     grammar = automaton.grammar
+    if "_nullable_nonterminals" not in grammar.__dict__:
+        num_terminals = grammar.ids.num_terminals
+        old_productions = old.grammar.productions
+        productions = grammar.productions
+        if all(
+            min(old_productions[index].rhs_sids, default=num_terminals) < num_terminals
+            and min(productions[index].rhs_sids, default=num_terminals) < num_terminals
+            for index in changed_productions
+        ):
+            grammar._nullable_nonterminals = old.nullable
     new_nullable = nullable_nonterminals(grammar)
     if new_nullable != old.nullable:
         raise IncrementalFallback("nullability changed")
@@ -89,6 +114,8 @@ def splice_relations(
     new.walk_sites = None
     new.walk_states = None
     new.successors = None
+    new.readers = None
+    new.walk_index = None
     new.reads_reverse = None
     new.includes_reverse = None
     new._record_walks = True
@@ -101,9 +128,9 @@ def splice_relations(
     new._budget = None
 
     with instrument.span("relations.splice"):
-        changed_reads, dr_bits = _splice_dr_and_reads(old, new, dirty)
+        changed_reads, dr_bits = _splice_dr_and_reads(old, new, dirty_ids)
         changed_includes, lookback_edges = _splice_includes_and_lookback(
-            old, new, dirty, dirty_nonterminals
+            old, new, dirty_ids, dirty_nonterminals
         )
         if old._totals is not None:
             # stats() totals, adjusted over the rewritten rows only.
@@ -188,8 +215,50 @@ def _node_successors(relations: LalrRelations) -> "array":
     return successors
 
 
+def build_successor_readers(relations: LalrRelations) -> "List[List[int]]":
+    """``readers[state]`` — the nodes whose goto target is *state*, in
+    ascending node order.
+
+    Built from the successor array, so it is as invariant across rhs
+    splices as that array: the splice builds it once (cached on
+    ``LalrRelations.readers``) and a spliced relations object shares its
+    predecessor's lists outright.
+    """
+    readers: List[List[int]] = [[] for _ in relations.automaton.states]
+    for n, successor in enumerate(_node_successors(relations)):
+        readers[successor].append(n)
+    return readers
+
+
+def build_walk_index(
+    relations: LalrRelations,
+) -> "Tuple[List[List[int]], List[List[int]]]":
+    """``(by_state, by_nt)`` from the walk memo: for each state, the
+    nodes whose recorded walk states contain it; for each nonterminal id,
+    the nodes with that lhs.
+
+    A walk must be rewalked iff its lhs is dirty or it stepped through a
+    dirty state, so the union of the dirty entries is exactly the rewalk
+    set.  The splice builds the index once (cached on
+    ``LalrRelations.walk_index``) and :func:`_splice_includes_and_lookback`
+    patches ``by_state`` for the rewalked nodes; ``by_nt`` is fixed by
+    the node space and shared.  List order within an entry is not
+    significant.
+    """
+    num_nonterminals = relations.num_nonterminals
+    by_state: List[List[int]] = [[] for _ in relations.automaton.states]
+    by_nt: List[List[int]] = [[] for _ in range(num_nonterminals)]
+    for node, (packed_id, states) in enumerate(
+        zip(relations.packed, relations.walk_states)
+    ):
+        by_nt[packed_id % num_nonterminals].append(node)
+        for state_id in set(states):
+            by_state[state_id].append(node)
+    return by_state, by_nt
+
+
 def _splice_dr_and_reads(
-    old: LalrRelations, new: LalrRelations, dirty: bytearray
+    old: LalrRelations, new: LalrRelations, dirty_ids: List[int]
 ) -> Tuple[List[int], int]:
     """Reuse every DR/reads row both of whose endpoint states are clean.
 
@@ -207,21 +276,20 @@ def _splice_dr_and_reads(
     node_index = new.node_index
     successors = _node_successors(old)
     new.successors = successors
+    if old.readers is None:
+        old.readers = build_successor_readers(old)
+    readers = new.readers = old.readers
 
-    # A row needs recomputing iff its source or successor state is dirty.
-    # Source-dirty nodes come from the dirty states' own nonterminal
-    # transitions; successor-dirty nodes from one scan of the (invariant)
-    # successor array.
+    # A row needs recomputing iff its source or successor state is dirty:
+    # the dirty states' own nonterminal transitions, and the nodes that
+    # read a dirty state as their goto target.
     recompute = bytearray(n_nodes)
-    for state_id, flag in enumerate(dirty):
-        if not flag:
-            continue
+    for state_id in dirty_ids:
         base = state_id * num_nonterminals
         for out_sid in states[state_id].out_sids:
             if out_sid >= num_terminals:
                 recompute[node_index[base + out_sid - num_terminals]] = 1
-    for n, successor in enumerate(successors):
-        if dirty[successor]:
+        for n in readers[state_id]:
             recompute[n] = 1
 
     nullable_ids = bytearray(num_nonterminals)
@@ -280,27 +348,35 @@ def _splice_dr_and_reads(
 def _splice_includes_and_lookback(
     old: LalrRelations,
     new: LalrRelations,
-    dirty: bytearray,
-    dirty_nonterminals: "frozenset[Symbol]",
-) -> List[int]:
+    dirty_ids: List[int],
+    dirty_nonterminals: "Iterable[Symbol]",
+) -> Tuple[List[int], int]:
     """Rewalk only the dirty walks; *patch* everything they fed.
 
-    A clean walk replays verbatim, so instead of replaying it — O(total
-    walk size) per update — the old per-node memo lists are copied
-    wholesale and only the rewalked nodes' entries are replaced.  The
-    includes CSR is then assembled by slicing unaffected bucket rows
-    straight out of the old arrays (in maximal runs) and merge-rebuilding
-    just the buckets a rewalked source feeds.  The merge is sound because
-    a bucket row lists its *source* node ids in non-decreasing order
-    (sources are walked in ascending node order): drop the rewalked
-    sources' old entries, then merge the rewalked sources' new emissions
-    back in by node id.
+    The walks to redo come straight from the inverted
+    :func:`build_walk_index` (the dirty states' and dirty nonterminals'
+    entries).  A clean walk
+    replays verbatim, so instead of replaying it — O(total walk size)
+    per update — the old per-node memo lists are copied wholesale and
+    only the rewalked nodes' entries are replaced.  The includes CSR is
+    then assembled by slicing unaffected bucket rows straight out of the
+    old arrays (in maximal runs) and merge-rebuilding just the buckets a
+    rewalked source feeds.  The merge is sound because a bucket row
+    lists its *source* node ids in non-decreasing order (sources are
+    walked in ascending node order): drop the rewalked sources' old
+    entries, then merge the rewalked sources' new emissions back in by
+    node id.
 
     The lookback dict is shared object-for-object with *old* when no
-    rewalked node's site list changed (the common case — relations are
-    immutable once built); otherwise it is rebuilt from the patched site
-    memos in from-scratch order.  Returns the changed includes rows and
-    the change in the total lookback edge count.
+    rewalked node's site list changed (relations are immutable once
+    built); otherwise it is rebuilt from the patched site memos in
+    from-scratch order.  Under the automaton splice's guards the sites —
+    and each walk's states — never change: kernels and every dirty
+    state's successor-kernel sequence are unchanged, so a production's
+    walk from a source visits the same states as before.  The rebuild
+    and the state-index patch are kept so this layer does not depend on
+    that argument.  Returns the changed includes rows and the change in
+    the total lookback edge count.
     """
     states = new.automaton.states
     grammar = new.grammar
@@ -311,30 +387,31 @@ def _splice_includes_and_lookback(
     nullable_ids = bytearray(num_nonterminals)
     for symbol in new.nullable:
         nullable_ids[ids.nonterminal_id(symbol)] = 1
-    dirty_nt_ids = bytearray(num_nonterminals)
-    for symbol in dirty_nonterminals:
-        dirty_nt_ids[ids.nonterminal_id(symbol)] = 1
     node_index = new.node_index
-    # The per-walk cleanliness test runs over every recorded walk state;
-    # a set.isdisjoint against the (small) dirty-state set keeps that
-    # scan in C instead of a per-state generator round-trip.
-    dirty_states_set = {state_id for state_id, flag in enumerate(dirty) if flag}
+    packed = new.packed
+
+    if old.walk_index is None:
+        old.walk_index = build_walk_index(old)
+    by_state, by_nt = old.walk_index
+    rewalk = set()
+    for state_id in dirty_ids:
+        rewalk.update(by_state[state_id])
+    for symbol in dirty_nonterminals:
+        rewalk.update(by_nt[ids.nonterminal_id(symbol)])
+    rewalked = sorted(rewalk)
 
     old_edges, old_sites, old_states = old.walk_edges, old.walk_sites, old.walk_states
     new.walk_edges = walk_edges = list(old_edges)
     new.walk_sites = walk_sites = list(old_sites)
     new.walk_states = walk_states = list(old_states)
+    # The state index is patched copy-on-write for the rewalked nodes.
+    by_state = list(by_state)
+    copied = set()
 
-    rewalked: List[int] = []
     sites_changed = False
     lookback_edges = 0
-    for node, packed_id in enumerate(new.packed):
-        source, lhs_nt_id = divmod(packed_id, num_nonterminals)
-        if not dirty_nt_ids[lhs_nt_id] and dirty_states_set.isdisjoint(
-            old_states[node]
-        ):
-            continue
-        rewalked.append(node)
+    for node in rewalked:
+        source, lhs_nt_id = divmod(packed[node], num_nonterminals)
         node_edges: List[int] = []
         node_sites: List[ReductionSite] = []
         node_states: List[int] = [source]
@@ -372,6 +449,16 @@ def _splice_includes_and_lookback(
         if node_sites != old_sites[node]:
             sites_changed = True
             lookback_edges += len(node_sites) - len(old_sites[node])
+        before, after = set(old_states[node]), set(node_states)
+        for state_id in before.symmetric_difference(after):
+            if state_id not in copied:
+                copied.add(state_id)
+                by_state[state_id] = list(by_state[state_id])
+            if state_id in before:
+                by_state[state_id].remove(node)
+            else:
+                by_state[state_id].append(node)
+    new.walk_index = (by_state, by_nt)
     if instrument.enabled():
         instrument.count("phase.relations.walks_reused", n_nodes - len(rewalked))
         instrument.count("phase.relations.walks_rewalked", len(rewalked))

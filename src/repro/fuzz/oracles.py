@@ -631,14 +631,19 @@ def check_incremental_edit(ctx: OracleContext) -> Optional[str]:
     """Session updates are bit-identical to from-scratch rebuilds.
 
     Drives an :class:`~repro.pipeline.session.AnalysisSession` through a
-    deterministic (seed-derived) schedule of edits — rhs symbol swaps
-    and substitutions, production additions and removals — and after
-    every update compares the session's artifacts against a from-scratch
-    pipeline on the edited grammar: state kernels and transitions, the
-    LA dict (including insertion order), ACTION/GOTO rows dict and
-    dense, conflict reports, and the SCC diagnostics (as sets — the
-    incremental path may order the list differently).  Structural deltas
-    must take the rebuild path, never a splice.
+    deterministic (seed-derived) schedule of edits — rhs symbol swaps,
+    terminal and nonterminal substitutions, production additions and
+    removals — and after every update compares the session's artifacts
+    against a from-scratch pipeline on a fresh copy of the edited
+    grammar (no cache the session carried onto it is shared): state
+    kernels and transitions, the LA dict (including insertion order),
+    ACTION/GOTO rows dict and dense, conflict reports, the SCC
+    diagnostics (as sets — the incremental path may order the list
+    differently), and the state a splice carries from edit to edit —
+    closure tables, nullable set, relation totals, walk memo, and the
+    walk index and successor readers (against a rebuild from the
+    session's own memo).  Structural deltas must take the rebuild path,
+    never a splice.
 
     Opt-in (``repro fuzz run --edit-oracle``): it multiplies the
     per-grammar workload by the edit count, so the default campaigns
@@ -668,8 +673,16 @@ def check_incremental_edit(ctx: OracleContext) -> Optional[str]:
                     f"spliced instead of rebuilt"
                 )
 
-        reference = LalrAnalysis(session.grammar)
-        reference_table = build_lalr_table(session.grammar, reference.automaton)
+        grammar = session.grammar
+        fresh = Grammar(
+            grammar.symbols,
+            grammar.productions,
+            grammar.start,
+            grammar.precedence,
+            grammar.name,
+        )
+        reference = LalrAnalysis(fresh, record_walks=True)
+        reference_table = build_lalr_table(fresh, reference.automaton)
         mismatch = _session_mismatch(session, reference, reference_table)
         if mismatch:
             return f"step {step} ({report.describe()}): {mismatch}"
@@ -686,7 +699,17 @@ def _random_session_edit(rng, grammar):
     ]
     if not editable or not terminals:
         return None
-    choice = rng.randrange(4)
+    choice = rng.randrange(5)
+    if choice == 4:
+        # Substitute one rhs position with a nonterminal — the only edit
+        # that can take a rule's last terminal away and so change which
+        # nonterminals are nullable.
+        start = grammar.productions[0].lhs
+        nonterminals = [nt for nt in grammar.ids.nonterminals if nt is not start]
+        production = rng.choice(editable)
+        rhs = list(production.rhs)
+        rhs[rng.randrange(len(rhs))] = rng.choice(nonterminals)
+        return replace_rhs(grammar, production.index, rhs)
     if choice == 0:
         # Substitute one rhs position with a random terminal.
         production = rng.choice(editable)
@@ -752,6 +775,9 @@ def _session_mismatch(session, reference, reference_table) -> Optional[str]:
         return "reads SCCs differ"
     if set(analysis.includes_sccs) != set(reference.includes_sccs):
         return "includes SCCs differ"
+    carried = _carried_state_mismatch(session, reference)
+    if carried:
+        return carried
     table = session.table
     if table.action_codes != reference_table.action_codes:
         return "ACTION codes differ"
@@ -761,6 +787,34 @@ def _session_mismatch(session, reference, reference_table) -> Optional[str]:
     theirs = [c.describe(session.grammar) for c in reference_table.conflicts]
     if ours != theirs:
         return "conflict reports differ"
+    return None
+
+
+def _carried_state_mismatch(session, reference) -> Optional[str]:
+    """First divergence in the state a splice carries across an edit."""
+    from ..analysis.nullable import nullable_nonterminals
+    from ..core.relations_delta import build_successor_readers, build_walk_index
+
+    grammar = session.grammar
+    if grammar.__dict__.get("_closure_tables") != reference.grammar._closure_tables:
+        return "closure tables differ"
+    if nullable_nonterminals(grammar) != nullable_nonterminals(reference.grammar):
+        return "nullable sets differ"
+    relations, fresh = session.relations, reference.relations
+    if relations.stats() != fresh.stats():
+        return "relation totals differ"
+    if (relations.walk_edges, relations.walk_sites, relations.walk_states) != (
+        fresh.walk_edges, fresh.walk_sites, fresh.walk_states
+    ):
+        return "walk memo differs"
+    if relations.walk_index is not None:
+        by_state, by_nt = relations.walk_index
+        rebuilt_state, rebuilt_nt = build_walk_index(relations)
+        if [sorted(nodes) for nodes in by_state] != rebuilt_state or by_nt != rebuilt_nt:
+            return "walk index differs"
+    if relations.readers is not None:
+        if relations.readers != build_successor_readers(relations):
+            return "successor readers differ"
     return None
 
 

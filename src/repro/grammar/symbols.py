@@ -178,6 +178,7 @@ class SymbolIds:
         "num_symbols",
         "by_sid",
         "_sid_of",
+        "_declaration_order",
     )
 
     def __init__(self, symbols: Iterable[Symbol]):
@@ -193,6 +194,7 @@ class SymbolIds:
         self._sid_of: Dict[Symbol, int] = {
             symbol: sid for sid, symbol in enumerate(self.by_sid)
         }
+        self._declaration_order: "Optional[array]" = None
 
     def __len__(self) -> int:
         return self.num_symbols
@@ -242,5 +244,12 @@ class SymbolIds:
 
     def declaration_order(self) -> "array":
         """``order[sid]`` = the symbol's table declaration index — used to
-        keep deterministic orderings identical to the Symbol-keyed era."""
-        return array("i", [symbol.index for symbol in self.by_sid])
+        keep deterministic orderings identical to the Symbol-keyed era.
+
+        Built once per layout and shared (callers only read it): the
+        incremental splice asks for it once per dirty state."""
+        order = self._declaration_order
+        if order is None:
+            order = array("i", [symbol.index for symbol in self.by_sid])
+            self._declaration_order = order
+        return order

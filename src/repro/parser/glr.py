@@ -197,6 +197,8 @@ class ParseForest:
 
     def tree(self) -> Node:
         """The first derivation tree — *the* tree when unambiguous."""
+        if self.root is not None and self.ambiguous_nodes == 0:
+            return _only_tree(self.root)
         trees = self.trees(limit=1)
         if not trees:
             raise ValueError("forest has no finite derivation tree")
@@ -224,6 +226,39 @@ def _families(node) -> tuple:
     if type(node) is SppfNode:
         return node.families
     return (node,) if len(node) == 2 else ()
+
+
+def _only_tree(root) -> Node:
+    """The one tree of a forest with no packed second family.
+
+    Such a forest is a DAG in which every node has one family, so this
+    is ``_tree_list(root, ..., limit=1)[0]`` — the same Node objects
+    shared where SPPF nodes are shared — built on an explicit stack, so
+    a tree as deep as the input is long does not hit the recursion
+    limit."""
+    built: "Dict[int, Node]" = {}
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        key = id(node)
+        if key in built:
+            continue
+        families = _families(node)
+        if not families:
+            token = node[0]
+            built[key] = Node(token.symbol, value=token.value)
+            continue
+        production, children = families[0]
+        if ready:
+            built[key] = Node(
+                production.lhs,
+                [built[id(child)] for child in children],
+                production=production,
+            )
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+    return built[id(root)]
 
 
 def _tree_list(node, memo: dict, on_path: set, limit: int):

@@ -1,4 +1,10 @@
-"""Parse trees produced by the LR engine."""
+"""Parse trees produced by the LR engine.
+
+Trees can be as deep as the input is long (``S -> a S | a`` nests one
+level per token), so the traversals (``leaves``, ``walk``,
+``derivation``, ``format``, ``sexpr`` and ``==``) run on explicit stacks
+and do not recurse, whatever the depth.
+"""
 
 from __future__ import annotations
 
@@ -37,11 +43,13 @@ class Node:
 
     def leaves(self) -> "Iterator[Node]":
         """Left-to-right terminal leaves (the fringe)."""
-        if self.is_leaf:
-            yield self
-            return
-        for child in self.children:
-            yield from child.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                yield node
+            else:
+                stack.extend(reversed(node.children))
 
     def fringe(self) -> List[Symbol]:
         """The terminal symbols of the fringe — re-derives the input."""
@@ -49,43 +57,60 @@ class Node:
 
     def walk(self) -> "Iterator[Node]":
         """Pre-order traversal of all nodes."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def derivation(self) -> List[Production]:
         """The rightmost derivation (in forward order) this tree encodes."""
         out: List[Production] = []
-
-        def visit(node: "Node") -> None:
-            if node.is_leaf:
-                return
-            assert node.production is not None
-            out.append(node.production)
-            # Rightmost derivation expands the rightmost nonterminal first.
-            for child in node.children:
-                visit(child)
-
-        visit(self)
+        # Pre-order: the rightmost derivation expands the rightmost
+        # nonterminal first.
+        for node in self.walk():
+            if not node.is_leaf:
+                assert node.production is not None
+                out.append(node.production)
         return out
 
     def format(self, indent: str = "") -> str:
         """Multi-line indented rendering."""
-        if self.is_leaf:
-            label = self.symbol.name
-            if self.value is not None and str(self.value) != label:
-                label += f" ({self.value!r})"
-            return f"{indent}{label}"
-        lines = [f"{indent}{self.symbol.name}"]
-        lines.extend(child.format(indent + "  ") for child in self.children)
+        lines: List[str] = []
+        stack = [(self, indent)]
+        while stack:
+            node, pad = stack.pop()
+            if node.is_leaf:
+                label = node.symbol.name
+                if node.value is not None and str(node.value) != label:
+                    label += f" ({node.value!r})"
+                lines.append(f"{pad}{label}")
+            else:
+                lines.append(f"{pad}{node.symbol.name}")
+                pad += "  "
+                stack.extend((child, pad) for child in reversed(node.children))
         return "\n".join(lines)
 
     def sexpr(self) -> str:
         """Compact s-expression rendering, handy in tests."""
-        if self.is_leaf:
-            return self.symbol.name
-        inner = " ".join(child.sexpr() for child in self.children)
-        return f"({self.symbol.name} {inner})" if inner else f"({self.symbol.name})"
+        # Post-order: a node's rendering is assembled once its children's
+        # are on top of *done*.
+        done: List[str] = []
+        stack = [(self, False)]
+        while stack:
+            node, ready = stack.pop()
+            if node.is_leaf:
+                done.append(node.symbol.name)
+            elif not ready:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children))
+            else:
+                first = len(done) - len(node.children)
+                inner = " ".join(done[first:])
+                del done[first:]
+                name = node.symbol.name
+                done.append(f"({name} {inner})" if inner else f"({name})")
+        return done[0]
 
     def __repr__(self) -> str:
         return f"Node({self.sexpr()})"
@@ -93,11 +118,22 @@ class Node:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        return (
-            self.symbol is other.symbol
-            and self.value == other.value
-            and self.children == other.children
-        )
+        pairs = [(self, other)]
+        while pairs:
+            ours, theirs = pairs.pop()
+            if (
+                ours.symbol is not theirs.symbol
+                or not ours.value == theirs.value
+                or len(ours.children) != len(theirs.children)
+            ):
+                return False
+            # Shared subtrees compare equal without a walk, as the list
+            # comparison this replaces let them.
+            pairs.extend(
+                pair for pair in zip(ours.children, theirs.children)
+                if pair[0] is not pair[1]
+            )
+        return True
 
     def __hash__(self) -> int:  # pragma: no cover - trees rarely hashed
         return hash((id(self.symbol), self.value, tuple(map(hash, self.children))))

@@ -269,13 +269,17 @@ class AnalysisSession:
                 old.automaton, grammar, delta.changed, delta.dirty_nonterminals
             )
             relations, changed_reads, changed_includes = splice_relations(
-                old.relations, automaton, dirty, delta.dirty_nonterminals
+                old.relations,
+                automaton,
+                dirty_ids,
+                delta.changed,
+                delta.dirty_nonterminals,
             )
             analysis = LalrAnalysis.spliced_from(
                 old.analysis, automaton, relations, changed_reads, changed_includes
             )
             table = refill_lalr_table(
-                old.table, automaton, analysis.la_masks, old.analysis.la_masks, dirty
+                old.table, automaton, analysis.la_masks, analysis.la_changed_sites, dirty
             )
         self._remember(old)
         self.artifacts = PhaseArtifacts(

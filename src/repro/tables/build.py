@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..automaton.lr0 import LR0Automaton
 from ..automaton.lr1 import LR1Automaton
@@ -271,7 +271,7 @@ def refill_lalr_table(
     old_table: ParseTable,
     automaton: LR0Automaton,
     la_masks: Dict[ReductionSite, int],
-    old_la_masks: Dict[ReductionSite, int],
+    changed_sites: Iterable[ReductionSite],
     dirty: bytearray,
 ) -> ParseTable:
     """Rebuild only the table rows an rhs edit can have changed.
@@ -284,7 +284,10 @@ def refill_lalr_table(
     reused verbatim iff none of its reduction sites' LA masks changed.
     (A changed production's ``%prec`` cannot affect a clean state either:
     any state reducing by that production contains one of its items and
-    is dirty by definition.)  Everything is assembled in state order, so
+    is dirty by definition.)  *changed_sites* are the sites whose LA mask
+    differs from the old table's (``LalrAnalysis.la_changed_sites``);
+    sites that appear or disappear belong to recomputed, hence *dirty*,
+    states.  Everything is assembled in state order, so
     the code arrays and the conflict list come out exactly as a
     from-scratch fill's: clean rows are copied as slices of the old code
     arrays, refilled rows go through the same :class:`_RowWriter`.
@@ -293,12 +296,9 @@ def refill_lalr_table(
     states = automaton.states
     n_states = len(states)
     refill = bytearray(dirty)
-    # Sites that appear or disappear belong to recomputed (dirty, hence
-    # already marked) states, so scanning the old site list is enough.
+    for state_id, _ in changed_sites:
+        refill[state_id] = 1
     la_get = la_masks.get
-    for site, old_mask in old_la_masks.items():
-        if la_get(site) != old_mask:
-            refill[site[0]] = 1
 
     def lookahead_mask(site: ReductionSite) -> int:
         return la_get(site, 0)

@@ -259,3 +259,264 @@ class TestMemoKey:
         session.update(edited)
         assert session.artifacts.fingerprint == grammar_fingerprint(edited)
         assert list(session._memo) == [grammar_fingerprint(grammar)]
+
+
+#: The edit-session rings: per grammar, the (production, rhs position)
+#: every edit rewrites and the 16 terminals it cycles through there —
+#: each edit a splice from the one before, the last back to the first.
+RINGS = {
+    "toy_java": (6, 0, [
+        "ID", "NUM", "STRING", "class", "{", "}", ";", "=", "(", ")",
+        "void", ",", "[", "]", "int", "boolean",
+    ]),
+    "algol_like": (16, 0, [
+        "ID", "STRINGLIT", "begin", "end", ";", "array", "[", ":", "]",
+        "procedure", "switch", ":=", "integer", "real", "boolean", ",",
+    ]),
+    "mini_c": (9, 1, [
+        "ID", "NUM", "(", ")", "int", "char", "void", ";", "=", "{", "}",
+        "if", "else", "while", "return", "?",
+    ]),
+    "mini_pascal_det": (2, 0, [
+        "ID", "NUM", ".", ";", "var", ":", ",", "integer", "boolean",
+        "array", "[", "]", "of", "begin", "end", ":=",
+    ]),
+}
+
+#: Recorded before splices carried their indexes, LA dict, closure
+#: tables and nullability: the carried state must leave every counter,
+#: relation total and union count exactly where the per-edit rebuilds
+#: of that state put it.  Summed over the 17 edits of each ring.
+RING_COUNTERS = {
+    "toy_java": {
+        "lalr.lookahead_sites": 1785,
+        "phase.lr0.states_recomputed": 51,
+        "phase.lr0.states_reused": 2975,
+        "phase.relations.rows_recomputed": 17,
+        "phase.relations.rows_reused": 7633,
+        "phase.relations.walks_reused": 7616,
+        "phase.relations.walks_rewalked": 34,
+        "phase.reuse": 85,
+        "phase.table.rows_refilled": 51,
+        "phase.table.rows_reused": 2975,
+    },
+    "algol_like": {
+        "lalr.lookahead_sites": 1581,
+        "phase.lr0.states_recomputed": 51,
+        "phase.lr0.states_reused": 2482,
+        "phase.relations.rows_recomputed": 34,
+        "phase.relations.rows_reused": 4454,
+        "phase.relations.walks_reused": 4437,
+        "phase.relations.walks_rewalked": 51,
+        "phase.reuse": 85,
+        "phase.table.rows_refilled": 51,
+        "phase.table.rows_reused": 2482,
+    },
+    "mini_c": {
+        "lalr.lookahead_sites": 1173,
+        "phase.lr0.states_recomputed": 68,
+        "phase.lr0.states_reused": 1904,
+        "phase.relations.rows_recomputed": 102,
+        "phase.relations.rows_reused": 4522,
+        "phase.relations.walks_reused": 4488,
+        "phase.relations.walks_rewalked": 136,
+        "phase.reuse": 85,
+        "phase.table.rows_refilled": 102,
+        "phase.table.rows_reused": 1870,
+    },
+    "mini_pascal_det": {
+        "lalr.lookahead_sites": 799,
+        "phase.lr0.states_recomputed": 68,
+        "phase.lr0.states_reused": 1292,
+        "phase.relations.rows_recomputed": 34,
+        "phase.relations.rows_reused": 969,
+        "phase.relations.walks_reused": 969,
+        "phase.relations.walks_rewalked": 34,
+        "phase.reuse": 85,
+        "phase.table.rows_refilled": 68,
+        "phase.table.rows_reused": 1292,
+    },
+}
+#: Summed ``analysis.stats.unions`` over the ring's 17 edits.
+RING_UNIONS = {
+    "toy_java": 26231, "algol_like": 10353, "mini_c": 12291, "mini_pascal_det": 2737,
+}
+#: ``relations.stats()`` after the ring closed.
+RING_RELATIONS = {
+    "toy_java": {
+        "nonterminal_transitions": 450, "dr_bits": 560, "reads_edges": 0,
+        "includes_edges": 915, "lookback_edges": 1543, "reduction_sites": 105,
+    },
+    "algol_like": {
+        "nonterminal_transitions": 264, "dr_bits": 524, "reads_edges": 16,
+        "includes_edges": 368, "lookback_edges": 609, "reduction_sites": 93,
+    },
+    "mini_c": {
+        "nonterminal_transitions": 272, "dr_bits": 299, "reads_edges": 0,
+        "includes_edges": 562, "lookback_edges": 721, "reduction_sites": 69,
+    },
+    "mini_pascal_det": {
+        "nonterminal_transitions": 59, "dr_bits": 57, "reads_edges": 1,
+        "includes_edges": 104, "lookback_edges": 161, "reduction_sites": 47,
+    },
+}
+
+
+def _ring_edits(name, base):
+    """The ring's edits of *base*, in order, closing back on the first."""
+    index, position, terminals = RINGS[name]
+    rhs = [symbol.name for symbol in base.productions[index].rhs]
+    current = base
+    for terminal in terminals + terminals[:1]:
+        current = replace_rhs(
+            current, index, rhs[:position] + [terminal] + rhs[position + 1:]
+        )
+        yield current
+
+
+class TestEditSessionRings:
+    """What a splice carries across an edit — the walk index, successor
+    readers, LA dict, closure tables and nullable set — changes no
+    counter and no artifact over the edit-session rings."""
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_ring_counters_are_pinned(self, name):
+        base = corpus.load(name).augmented()
+        session = AnalysisSession(base, memo_size=0)
+        counters = {}
+        unions = 0
+        for edited in _ring_edits(name, base):
+            with instrument.profile() as collector:
+                report = session.update(edited)
+            assert report.strategy == "splice"
+            for key, value in collector.counters.items():
+                if key.startswith("phase.") or key == "lalr.lookahead_sites":
+                    counters[key] = counters.get(key, 0) + value
+            unions += session.analysis.stats.unions
+        assert counters == RING_COUNTERS[name]
+        assert unions == RING_UNIONS[name]
+        assert session.relations.stats() == RING_RELATIONS[name]
+
+    def test_la_dict_order_after_sixteen_splices(self):
+        base = corpus.load("toy_java").augmented()
+        session = AnalysisSession(base, memo_size=0)
+        for edited in list(_ring_edits("toy_java", base))[:16]:
+            assert session.update(edited).strategy == "splice"
+            # The lookback relation survived, so the dict was patched.
+            assert session.analysis.la_changed_sites is not None
+        assert_matches_scratch(session)
+
+    def test_splice_carries_the_parent_state(self):
+        base = corpus.load("toy_java").augmented()
+        session = AnalysisSession(base, memo_size=0)
+        parent = session.artifacts
+        edits = _ring_edits("toy_java", base)
+        edited = next(edits)
+        assert session.update(edited).strategy == "splice"
+        # Terminal for terminal: the nullable set is carried, not recounted.
+        assert edited.__dict__["_nullable_nonterminals"] is parent.relations.nullable
+        # Closure-table rows are shared except the edited rule's lhs.
+        dirty = session.automaton.ids.nonterminal_id(base.productions[6].lhs)
+        ours = edited.__dict__["_closure_tables"]
+        theirs = base.__dict__["_closure_tables"]
+        for column in (3, 4, 5):
+            for nt_id, (row, old_row) in enumerate(zip(ours[column], theirs[column])):
+                if nt_id != dirty:
+                    assert row is old_row
+        assert session.relations.lookback_nodes is parent.relations.lookback_nodes
+        # The first splice built the successor readers; the next one
+        # shares them outright.
+        first = session.artifacts
+        assert first.relations.readers is not None
+        assert session.update(next(edits)).strategy == "splice"
+        assert session.relations.readers is first.relations.readers
+        assert_matches_scratch(session)
+
+
+class TestCarriedStateFallbacks:
+    def test_nullability_flip_still_falls_back(self):
+        # V -> e becoming V -> %empty makes V nullable; the rule is
+        # unreachable, so the automaton splice passes and the nullable
+        # set itself is what trips the fallback.
+        grammar = load_grammar(
+            "S -> a S b | c\nV -> e | d", name="flip"
+        ).augmented()
+        session = AnalysisSession(grammar)
+        report = session.update(replace_rhs(grammar, 3, []))
+        assert report.strategy == "rebuild"
+        assert report.fell_back
+        assert report.reason == "nullability changed"
+        assert_matches_scratch(session)
+
+    def test_terminal_free_rule_recounts_nullability(self):
+        # The new rhs holds no terminal, so nothing is carried; the
+        # recount agrees with the parent's and the edit still splices.
+        grammar = load_grammar(
+            "S -> a S b | c\nV -> e | d\nW -> f", name="recount"
+        ).augmented()
+        session = AnalysisSession(grammar)
+        edited = replace_rhs(grammar, 3, ["W"])
+        assert session.update(edited).strategy == "splice"
+        parent_nullable = grammar.__dict__["_nullable_nonterminals"]
+        recounted = edited.__dict__["_nullable_nonterminals"]
+        assert recounted is not parent_nullable
+        assert recounted == parent_nullable
+        assert_matches_scratch(session)
+
+    @pytest.mark.parametrize("rhs", [
+        ["(", "E", ")", "id"],
+        ["id", "(", "E", ")"],
+    ])
+    def test_dot_width_crossing_still_falls_back(self, rhs):
+        grammar = load_grammar(
+            "E -> E + T | T\nT -> ( E ) | id", name="width"
+        ).augmented()
+        session = AnalysisSession(grammar)
+        report = session.update(replace_rhs(grammar, 3, rhs))
+        assert report.strategy == "rebuild"
+        assert report.fell_back
+        assert report.reason.startswith("item packing width changed")
+        assert_matches_scratch(session)
+
+    def test_a_new_lookback_relation_takes_the_full_la_path(self, grammar):
+        # A splice that passes the automaton guards keeps every walk's
+        # states, hence every lookback site, so the session never hands
+        # spliced_from a new lookback relation; give it one directly.
+        from repro.automaton.lr0_delta import splice_lr0
+        from repro.core.relations_delta import splice_relations
+
+        session = AnalysisSession(grammar, memo_size=0)
+        parent = session.artifacts
+        for edited in (
+            replace_rhs(grammar, 1, ["E", "*", "T"]),
+            replace_rhs(grammar, 1, ["E", "+", "T"]),
+        ):
+            delta_changed = (1,)
+            lhs = (edited.productions[1].lhs,)
+            automaton, dirty, dirty_ids = splice_lr0(
+                parent.automaton, edited, delta_changed, lhs
+            )
+            relations, reads, includes = splice_relations(
+                parent.relations, automaton, dirty_ids, delta_changed, lhs
+            )
+            assert relations.lookback_nodes is parent.relations.lookback_nodes
+            relations.lookback_nodes = {
+                site: list(nodes) for site, nodes in relations.lookback_nodes.items()
+            }
+            with instrument.profile() as collector:
+                analysis = LalrAnalysis.spliced_from(
+                    parent.analysis, automaton, relations, reads, includes
+                )
+            scratch = LalrAnalysis(edited)
+            assert analysis.la_masks == scratch.la_masks
+            assert list(analysis.la_masks) == list(scratch.la_masks)
+            assert collector.counters["lalr.lookahead_sites"] == len(scratch.la_masks)
+            assert sorted(analysis.la_changed_sites) == sorted(
+                site for site, mask in scratch.la_masks.items()
+                if parent.analysis.la_masks.get(site) != mask
+            )
+            patched = session.update(edited)
+            assert patched.strategy == "splice"
+            assert session.analysis.stats.unions == analysis.stats.unions
+            assert session.analysis.la_masks == analysis.la_masks
+            parent = session.artifacts
