@@ -121,29 +121,29 @@ class LalrAnalysis:
         """Phase 3 (LA unions) plus the shared epilogue.
 
         Factored out of ``__init__`` so the incremental assembly path
-        (:meth:`spliced_from`) finishes identically.  From scratch, and
-        on a splice that changed the lookback relation, the LA dict is
-        rebuilt here in ``lookback_nodes`` insertion order, which both
-        construction paths produce identically, so ``la_masks`` comes
-        out bit-identical either way.  On a splice that kept the lookback
-        relation (*old*'s ``lookback_nodes`` object is shared), *old*'s
-        dict is copied — same keys, same order — and only the sites fed
-        by a node of *dirty_follow* whose Follow mask changed are
-        re-unioned.  ``la_changed_sites`` lists the sites whose mask
-        differs from *old*'s (None from scratch).
+        (:meth:`spliced_from`) finishes identically.  From scratch the LA
+        dict is built here in ``lookback_nodes`` insertion order.  On a
+        splice (*old* given) the lookback relation is *old*'s own object
+        (the relations splice falls back otherwise), so *old*'s dict is
+        copied — same keys, same order — and only the sites fed by a
+        node of *dirty_follow* whose Follow mask changed are re-unioned;
+        ``la_masks`` comes out bit-identical either way.
+        ``la_changed_sites`` lists the sites whose mask differs from
+        *old*'s (None from scratch).
         """
         relations = self.relations
         # Phase 3: LA = union of Follow over `lookback`.
         if budget is not None:
             budget.enter_phase("la")
         with instrument.span("lalr.la"):
-            follow_masks = self._follow_masks
-            stats = self.stats
             self.la_changed_sites: "List[ReductionSite] | None" = None
-            if old is not None and relations.lookback_nodes is old.relations.lookback_nodes:
+            if old is not None:
                 self._patch_la(old, dirty_follow)
             else:
+                follow_masks = self._follow_masks
+                stats = self.stats
                 self.la_masks: Dict[ReductionSite, int] = {}
+                unions_before = stats.unions
                 for site, lookback_nodes in relations.lookback_nodes.items():
                     if budget is not None:
                         budget.tick()
@@ -152,15 +152,9 @@ class LalrAnalysis:
                         mask |= follow_masks[node]
                         stats.unions += 1
                     self.la_masks[site] = mask
-                if old is not None:
-                    # Sites that appear or vanish belong to recomputed
-                    # states, which the table refill redoes anyway.
-                    old_get = old.la_masks.get
-                    self.la_changed_sites = [
-                        site
-                        for site, mask in self.la_masks.items()
-                        if old_get(site) != mask
-                    ]
+                # One union per lookback edge; kept so a splice can
+                # report the same stats.unions without a recount.
+                self._la_unions = stats.unions - unions_before
         if budget is not None:
             budget.publish()
         instrument.count("lalr.lookahead_sites", len(self.la_masks))
@@ -185,16 +179,18 @@ class LalrAnalysis:
         self._follow_sets_view: "Dict[Transition, int] | None" = None
 
     def _patch_la(self, old: "LalrAnalysis", dirty_follow: bytearray) -> None:
-        """The LA dict of a splice that kept *old*'s lookback relation.
+        """The LA dict of a splice, which shares *old*'s lookback relation.
 
         LA(site) is the union of Follow over the site's lookback nodes,
         so it can differ only at the sites (``walk_sites``) fed by a
         node whose Follow mask changed — and only the incremental
         includes pass's dirty nodes can have changed.  ``stats.unions``
-        still counts one union per lookback edge, as the full rebuild
-        does, from the total the relations carry.
+        still counts one union per lookback edge, as the full build
+        does; the lookback relation is unchanged, so that count is
+        *old*'s.
         """
         relations = self.relations
+        assert relations.lookback_nodes is old.relations.lookback_nodes
         follow_masks, old_follow = self._follow_masks, old._follow_masks
         walk_sites = relations.walk_sites
         stale = set()
@@ -214,7 +210,8 @@ class LalrAnalysis:
                 la_masks[site] = mask
                 changed.append(site)
         self.la_changed_sites = changed
-        self.stats.unions += relations.stats()["lookback_edges"]
+        self._la_unions = old._la_unions
+        self.stats.unions += self._la_unions
 
     @classmethod
     def spliced_from(

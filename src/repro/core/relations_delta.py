@@ -73,8 +73,9 @@ def splice_relations(
     count as reads-pass seeds).
 
     Raises:
-        IncrementalFallback: nullability changed, or *old* carries no
-            walk memo (it was built without ``record_walks``).
+        IncrementalFallback: nullability changed, a rewalk changed its
+            states or lookback sites, or *old* carries no walk memo (it
+            was built without ``record_walks``).
     """
     if old.walk_edges is None:
         raise IncrementalFallback("old relations carry no walk memo")
@@ -129,14 +130,13 @@ def splice_relations(
 
     with instrument.span("relations.splice"):
         changed_reads, dr_bits = _splice_dr_and_reads(old, new, dirty_ids)
-        changed_includes, lookback_edges = _splice_includes_and_lookback(
+        changed_includes = _splice_includes_and_lookback(
             old, new, dirty_ids, dirty_nonterminals
         )
         if old._totals is not None:
-            # stats() totals, adjusted over the rewritten rows only.
-            new._totals = (
-                old._totals[0] + dr_bits, old._totals[1] + lookback_edges
-            )
+            # stats() totals, adjusted over the rewritten DR rows only
+            # (the lookback relation is shared).
+            new._totals = (old._totals[0] + dr_bits, old._totals[1])
         new.reads_reverse = _patch_reverse(
             old.reads_reverse,
             old.reads_offsets,
@@ -240,9 +240,10 @@ def build_walk_index(
     A walk must be rewalked iff its lhs is dirty or it stepped through a
     dirty state, so the union of the dirty entries is exactly the rewalk
     set.  The splice builds the index once (cached on
-    ``LalrRelations.walk_index``) and :func:`_splice_includes_and_lookback`
-    patches ``by_state`` for the rewalked nodes; ``by_nt`` is fixed by
-    the node space and shared.  List order within an entry is not
+    ``LalrRelations.walk_index``) and shares it across later splices:
+    ``by_nt`` is fixed by the node space, and
+    :func:`_splice_includes_and_lookback` falls back rather than let a
+    rewalk change its state set.  List order within an entry is not
     significant.
     """
     num_nonterminals = relations.num_nonterminals
@@ -350,15 +351,15 @@ def _splice_includes_and_lookback(
     new: LalrRelations,
     dirty_ids: List[int],
     dirty_nonterminals: "Iterable[Symbol]",
-) -> Tuple[List[int], int]:
+) -> List[int]:
     """Rewalk only the dirty walks; *patch* everything they fed.
 
     The walks to redo come straight from the inverted
     :func:`build_walk_index` (the dirty states' and dirty nonterminals'
     entries).  A clean walk
     replays verbatim, so instead of replaying it — O(total walk size)
-    per update — the old per-node memo lists are copied wholesale and
-    only the rewalked nodes' entries are replaced.  The includes CSR is
+    per update — the old per-node edge and state memos are copied
+    wholesale and only the rewalked nodes' entries are replaced.  The includes CSR is
     then assembled by slicing unaffected bucket rows straight out of the
     old arrays (in maximal runs) and merge-rebuilding just the buckets a
     rewalked source feeds.  The merge is sound because a bucket row
@@ -367,16 +368,14 @@ def _splice_includes_and_lookback(
     entries, then merge the rewalked sources' new emissions back in by
     node id.
 
-    The lookback dict is shared object-for-object with *old* when no
-    rewalked node's site list changed (relations are immutable once
-    built); otherwise it is rebuilt from the patched site memos in
-    from-scratch order.  Under the automaton splice's guards the sites —
-    and each walk's states — never change: kernels and every dirty
-    state's successor-kernel sequence are unchanged, so a production's
-    walk from a source visits the same states as before.  The rebuild
-    and the state-index patch are kept so this layer does not depend on
-    that argument.  Returns the changed includes rows and the change in
-    the total lookback edge count.
+    Under the automaton splice's guards a rewalk visits the same states
+    and ends at the same lookback sites as before: kernels and every
+    dirty state's successor-kernel sequence are unchanged.  The site
+    memo, the lookback dict and the walk index are therefore shared
+    object-for-object with *old* (relations are immutable once built).
+    This layer does not rely on that argument: a rewalk whose sites or
+    state set differ raises :class:`IncrementalFallback`, and the
+    session rebuilds from scratch.  Returns the changed includes rows.
     """
     states = new.automaton.states
     grammar = new.grammar
@@ -402,14 +401,8 @@ def _splice_includes_and_lookback(
 
     old_edges, old_sites, old_states = old.walk_edges, old.walk_sites, old.walk_states
     new.walk_edges = walk_edges = list(old_edges)
-    new.walk_sites = walk_sites = list(old_sites)
     new.walk_states = walk_states = list(old_states)
-    # The state index is patched copy-on-write for the rewalked nodes.
-    by_state = list(by_state)
-    copied = set()
 
-    sites_changed = False
-    lookback_edges = 0
     for node in rewalked:
         source, lhs_nt_id = divmod(packed[node], num_nonterminals)
         node_edges: List[int] = []
@@ -443,33 +436,18 @@ def _splice_includes_and_lookback(
                 state = next_state
                 node_states.append(state)
             node_sites.append((state, production.index))
+        if node_sites != old_sites[node] or set(node_states) != set(old_states[node]):
+            raise IncrementalFallback("a walk's states or lookback sites changed")
         walk_edges[node] = node_edges
-        walk_sites[node] = node_sites
         walk_states[node] = node_states
-        if node_sites != old_sites[node]:
-            sites_changed = True
-            lookback_edges += len(node_sites) - len(old_sites[node])
-        before, after = set(old_states[node]), set(node_states)
-        for state_id in before.symmetric_difference(after):
-            if state_id not in copied:
-                copied.add(state_id)
-                by_state[state_id] = list(by_state[state_id])
-            if state_id in before:
-                by_state[state_id].remove(node)
-            else:
-                by_state[state_id].append(node)
-    new.walk_index = (by_state, by_nt)
+    # Every walk kept its sites and its state set: the site memo, the
+    # lookback relation and the walk index carry over unchanged.
+    new.walk_sites = old_sites
+    new.lookback_nodes = old.lookback_nodes
+    new.walk_index = old.walk_index
     if instrument.enabled():
         instrument.count("phase.relations.walks_reused", n_nodes - len(rewalked))
         instrument.count("phase.relations.walks_rewalked", len(rewalked))
-
-    if sites_changed:
-        lookback = new.lookback_nodes
-        for node, node_sites in enumerate(walk_sites):
-            for site in node_sites:
-                lookback.setdefault(site, []).append(node)
-    else:
-        new.lookback_nodes = old.lookback_nodes
 
     # Buckets a rewalked source fed (before or after) are the only
     # includes rows that can differ.
@@ -522,4 +500,4 @@ def _splice_includes_and_lookback(
         if merged != old_row:
             changed.append(j)
         i = j + 1
-    return changed, lookback_edges
+    return changed

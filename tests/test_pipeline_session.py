@@ -478,45 +478,31 @@ class TestCarriedStateFallbacks:
         assert report.reason.startswith("item packing width changed")
         assert_matches_scratch(session)
 
-    def test_a_new_lookback_relation_takes_the_full_la_path(self, grammar):
-        # A splice that passes the automaton guards keeps every walk's
-        # states, hence every lookback site, so the session never hands
-        # spliced_from a new lookback relation; give it one directly.
-        from repro.automaton.lr0_delta import splice_lr0
-        from repro.core.relations_delta import splice_relations
-
+    @pytest.mark.parametrize("memo", ["walk_sites", "walk_states"])
+    def test_a_changed_walk_falls_back(self, grammar, memo):
+        # Under the automaton guards a rewalk keeps its states and its
+        # lookback sites, so only a tampered memo can disagree with it:
+        # the splice must rebuild rather than carry the old lookback
+        # relation and walk index.
         session = AnalysisSession(grammar, memo_size=0)
-        parent = session.artifacts
-        for edited in (
-            replace_rhs(grammar, 1, ["E", "*", "T"]),
-            replace_rhs(grammar, 1, ["E", "+", "T"]),
-        ):
-            delta_changed = (1,)
-            lhs = (edited.productions[1].lhs,)
-            automaton, dirty, dirty_ids = splice_lr0(
-                parent.automaton, edited, delta_changed, lhs
+        relations = session.relations
+        lhs_id = grammar.ids.nonterminal_id(grammar.productions[1].lhs)
+        node = next(
+            n for n, packed in enumerate(relations.packed)
+            if packed % relations.num_nonterminals == lhs_id
+        )
+        tampered = list(getattr(relations, memo))
+        if memo == "walk_sites":
+            tampered[node] = tampered[node] + [(0, 0)]
+        else:
+            extra = next(
+                state for state in range(len(session.automaton.states))
+                if state not in tampered[node]
             )
-            relations, reads, includes = splice_relations(
-                parent.relations, automaton, dirty_ids, delta_changed, lhs
-            )
-            assert relations.lookback_nodes is parent.relations.lookback_nodes
-            relations.lookback_nodes = {
-                site: list(nodes) for site, nodes in relations.lookback_nodes.items()
-            }
-            with instrument.profile() as collector:
-                analysis = LalrAnalysis.spliced_from(
-                    parent.analysis, automaton, relations, reads, includes
-                )
-            scratch = LalrAnalysis(edited)
-            assert analysis.la_masks == scratch.la_masks
-            assert list(analysis.la_masks) == list(scratch.la_masks)
-            assert collector.counters["lalr.lookahead_sites"] == len(scratch.la_masks)
-            assert sorted(analysis.la_changed_sites) == sorted(
-                site for site, mask in scratch.la_masks.items()
-                if parent.analysis.la_masks.get(site) != mask
-            )
-            patched = session.update(edited)
-            assert patched.strategy == "splice"
-            assert session.analysis.stats.unions == analysis.stats.unions
-            assert session.analysis.la_masks == analysis.la_masks
-            parent = session.artifacts
+            tampered[node] = tampered[node] + [extra]
+        setattr(relations, memo, tampered)
+        report = session.update(replace_rhs(grammar, 1, ["E", "*", "T"]))
+        assert report.strategy == "rebuild"
+        assert report.fell_back
+        assert report.reason == "a walk's states or lookback sites changed"
+        assert_matches_scratch(session)
