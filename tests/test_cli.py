@@ -1,6 +1,7 @@
 """Integration tests: the command-line interface."""
 
 import io
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -370,6 +371,91 @@ class TestParse:
         assert (lr_code, lr_output.replace("valid", "", 1)) == (
             glr_code, glr_output.replace("valid (1 parse tree)", "", 1)
         )
+
+
+_CONFLICTED_DANGLING_ELSE = (
+    "error: table for 'dangling_else' has 1 unresolved conflict(s); first: "
+    "state 4, lookahead 'else': shift/reduce between shift -> 6 and reduce "
+    "then_else -> %empty (UNRESOLVED).  The deterministic engine would "
+    "silently parse with the yacc-default winners — pass "
+    "allow_conflicts=True to opt in, or use the GLR engine "
+    "(repro.parser.glr.GlrParser, `repro parse --engine glr`) to explore "
+    "every action\n"
+)
+
+
+class TestParseOutputPinned:
+    """The exact stdout, stderr and exit code of ``repro parse``, one
+    case per answer the verb can give."""
+
+    CASES = {
+        "lr-valid": (
+            ["expr_file", "--input", "id + id"], 0, "valid\n", "",
+        ),
+        "lr-invalid": (
+            ["expr_file", "--input", "id +"], 1,
+            "invalid: syntax error at position 2: unexpected end of input; "
+            "expected one of: id\n",
+            "",
+        ),
+        "lr-tree": (
+            ["expr_file", "--input", "id + id", "--tree"], 0,
+            "valid\nE\n  E\n    T\n      id\n  +\n  T\n    id\n", "",
+        ),
+        "lr-conflicted": (
+            ["corpus:dangling_else", "--input", "other"], 1,
+            "", _CONFLICTED_DANGLING_ELSE,
+        ),
+        "glr-one-tree": (
+            ["corpus:dangling_else", "--engine", "glr",
+             "--input", "if other else other"], 0,
+            "valid (1 parse tree)\n", "",
+        ),
+        "glr-two-trees": (
+            ["corpus:dangling_else", "--engine", "glr",
+             "--input", "if if other else other"], 0,
+            "valid (2 parse trees)\n", "",
+        ),
+        "glr-capped-count": (
+            ["ambiguous_file", "--engine", "glr", "--input", " ".join(["a"] * 9)],
+            0, "valid (1000+ parse trees)\n", "",
+        ),
+        "glr-tree": (
+            ["corpus:dangling_else", "--engine", "glr",
+             "--input", "if other else other", "--tree"], 0,
+            "valid (1 parse tree)\nS\n  if\n  S\n    other\n  then_else\n"
+            "    else\n    S\n      other\n",
+            "",
+        ),
+        "glr-invalid": (
+            ["corpus:dangling_else", "--engine", "glr", "--input", "else"], 1,
+            "invalid: syntax error at position 0: unexpected else; "
+            "expected one of: if, other\n",
+            "",
+        ),
+        "timeout": (
+            ["corpus:expr", "--input", "id", "--timeout", "1e-9"], 1, "",
+            "budget exceeded: budget exceeded in phase 'lr0' after <t>s: "
+            "timeout limit of 1e-09 hit (progress: checks=1)\n  checks: 1\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output(self, case, tmp_path, capsys):
+        argv, code, stdout, stderr = self.CASES[case]
+        files = {
+            "expr_file": "E -> E + T | T\nT -> id\n",
+            "ambiguous_file": "E -> E E | a\n",
+        }
+        if argv[0] in files:
+            path = tmp_path / "g.cfg"
+            path.write_text(files[argv[0]])
+            argv = [str(path)] + argv[1:]
+        assert main(["parse"] + argv) == code
+        out, err = capsys.readouterr()
+        # The elapsed time is the one figure a run cannot fix.
+        err = re.sub(r"after \d+\.\d\ds:", "after <t>s:", err)
+        assert (out, err) == (stdout, stderr)
 
 
 class TestStats:
