@@ -27,7 +27,6 @@ from .errors import (
 from .grammar import Assoc, Grammar, Precedence
 from .production import Production
 from .reader import load_grammar, load_grammar_file
-from .refactor import left_factor, remove_left_recursion
 from .symbols import EOF_NAME, EPSILON_NAME, Symbol, SymbolTable
 from .transforms import reduce_grammar, remove_epsilon_rules
 from .writer import write_arrow, write_yacc
@@ -61,10 +60,8 @@ __all__ = [
     "grammar_from_rules",
     "load_grammar",
     "load_grammar_file",
-    "left_factor",
     "production_fingerprint",
     "production_fingerprints",
-    "remove_left_recursion",
     "remove_production",
     "reduce_grammar",
     "remove_epsilon_rules",

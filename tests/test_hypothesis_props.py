@@ -251,26 +251,6 @@ class TestNewComponentProperties:
 
     @given(grammar=grammar_shapes)
     @settings(max_examples=30, **COMMON)
-    def test_ll1_conflict_free_iff_predict_disjoint(self, grammar):
-        """The conflict list is empty exactly when PREDICT sets are
-        pairwise disjoint per nonterminal — the LL(1) definition."""
-        from repro.ll import Ll1Analysis
-
-        analysis = Ll1Analysis(grammar.augmented())
-        disjoint = True
-        for nonterminal in analysis.grammar.nonterminals:
-            if nonterminal is analysis.grammar.start:
-                continue
-            seen = set()
-            for production in analysis.grammar.productions_for(nonterminal):
-                predict = analysis.predict[production.index]
-                if predict & seen:
-                    disjoint = False
-                seen |= predict
-        assert analysis.is_ll1 == disjoint
-
-    @given(grammar=grammar_shapes)
-    @settings(max_examples=30, **COMMON)
     def test_lint_never_crashes_and_flags_cycles(self, grammar):
         from repro.grammar.lint import lint
         from repro.grammar.properties import has_cycles

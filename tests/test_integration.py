@@ -22,7 +22,6 @@ from repro.baselines import (
 from repro.automaton import LR0Automaton
 from repro.grammar import write_arrow, write_yacc
 from repro.grammars import corpus
-from repro.ll import Ll1Analysis, LlParser
 from repro.parser import CykRecognizer, RecoveringParser
 from repro.tables import GrammarClass, compress, generate_parser_module
 from tests.classic_lr import classic_run
@@ -137,19 +136,6 @@ unmatched -> if e then stmt | if e then matched else unmatched
         from repro.analysis.enumerate import bounded_language_equal
 
         assert bounded_language_equal(draft, fixed, 9)
-
-    def test_ll_and_lr_sides_agree_on_ll1_grammar(self):
-        text = """
-E -> T Etail
-Etail -> + T Etail | %empty
-T -> id | ( E )
-"""
-        grammar = load_grammar(text).augmented()
-        ll = LlParser(Ll1Analysis(grammar))
-        lr = Parser(build_lalr_table(grammar))
-        generator = SentenceGenerator(grammar, seed=2)
-        for sentence in generator.sentences(20, budget=10):
-            assert ll.accepts(sentence) == lr.accepts(sentence) == True
 
     def test_batch_error_checking(self):
         grammar = load_grammar("""
