@@ -1,6 +1,8 @@
 """Doc-drift guard: every concrete number/set in docs/ALGORITHM.md is
 asserted here against the implementation, so the walkthrough cannot rot."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.automaton import LR0Automaton, LR1Automaton
@@ -207,3 +209,35 @@ class TestSection18GlrFacts:
                 ["a"] * 8, budget=Budget(max_tokens=2)
             )
         assert info.value.phase == "cyk"
+
+
+class TestReadmeLayout:
+    """README's "Repository layout" block names exactly the packages and
+    top-level modules under ``src/repro/``."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def layout_names(self):
+        text = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Repository layout", 1)[1]
+        block = section.split("```", 2)[1]
+        names = set()
+        inside = False
+        for line in block.splitlines():
+            if line == "src/repro/":
+                inside = True
+            elif inside and line.startswith("  ") and line[2] != " ":
+                names.add(line.split()[0])
+            elif inside and not line.startswith(" "):
+                break
+        return names
+
+    def test_names_match_the_source_tree(self):
+        source = self.ROOT / "src" / "repro"
+        on_disk = {
+            path.name + "/" if path.is_dir() else path.name
+            for path in source.iterdir()
+            if not path.name.startswith("__")
+            and (path.suffix == ".py" or (path / "__init__.py").is_file())
+        }
+        assert self.layout_names() == on_disk
