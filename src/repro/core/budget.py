@@ -222,12 +222,6 @@ class Budget:
         if self._deadline is not None and time.monotonic() >= self._deadline:
             self._exhaust("timeout", self.timeout)
 
-    def checkpoint(self) -> None:
-        """An exact (non-strided) deadline check, for coarse loops."""
-        self.checks += 1
-        if self._deadline is not None and time.monotonic() >= self._deadline:
-            self._exhaust("timeout", self.timeout)
-
     def _tick_clock(self) -> None:
         """The strided deadline test shared by the hot-path charges."""
         self._clock_countdown -= 1

@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core import instrument
 from ..core.budget import BudgetExceeded
+from ..core.parallel import fork_available
 from .protocol import HttpError
 
 __all__ = ["WorkerCrash", "WorkerPool", "fork_available"]
@@ -64,11 +65,6 @@ class WorkerCrash(Exception):
     def __init__(self, rendered: str):
         self.rendered = rendered
         super().__init__(rendered)
-
-
-def fork_available() -> bool:
-    """True when the ``fork`` start method exists (POSIX)."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _worker_main(
