@@ -236,39 +236,26 @@ def _cmd_conflicts(grammar: Grammar, args) -> int:
 
 
 def _cmd_parse(grammar: Grammar, args) -> int:
-    budget = _budget_from(args)
-    table, _ = _table_for(grammar, args, budget)
-    tokens = args.input.split()
-    if args.engine == "glr":
-        from .parser import GlrParser
+    from .service.app import HttpError, parse_result
 
-        try:
-            forest = GlrParser(table).parse_forest(tokens, budget=budget)
-        except ParseError as error:
-            print(f"invalid: {error}")
-            return 1
-        count = forest.tree_count(limit=1000)
+    cache = TableCache(args.cache) if args.cache else None
+    try:
+        result = parse_result(grammar, args.input.split(), args.method,
+                              args.tree, cache, _budget_from(args), args.engine)
+    except HttpError as error:
+        print(f"error: {error.detail}", file=sys.stderr)
+        return 1
+    if not result["valid"]:
+        print(f"invalid: {result['error']}")
+        return 1
+    count = result.get("trees")
+    if count is None:
+        print("valid")
+    else:
         plural = "" if count == 1 else "s"
         print(f"valid ({count}{'+' if count >= 1000 else ''} parse tree{plural})")
-        if args.tree and count:
-            print(forest.tree().format())
-        return 0
-    try:
-        parser = Parser(table)
-    except ConflictedTableError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    try:
-        if args.tree:
-            tree = parser.parse(tokens, budget=budget)
-        else:
-            parser.check(tokens, budget=budget)
-    except ParseError as error:
-        print(f"invalid: {error}")
-        return 1
-    print("valid")
-    if args.tree:
-        print(tree.format())
+    if "tree" in result:
+        print(result["tree"])
     return 0
 
 
