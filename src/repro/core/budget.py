@@ -32,6 +32,11 @@ Design rules:
   counters into the instrument layer as ``budget.checks`` /
   ``budget.exceeded`` so ``--profile`` shows exactly what the
   governance overhead was.
+- **Capped trials.**  :meth:`Budget.capped` narrows a budget's deadline
+  for a run its caller may abandon (the service's inline GLR parse).
+  The narrowed deadline raises :class:`CapExceeded`, never
+  :class:`BudgetExceeded`, so the caller can restart the work elsewhere
+  with a fresh budget; the budget's own limits raise as before.
 
 One Budget instance governs one request end to end: the same object is
 threaded through LR(0) construction, the relation builders, both Digraph
@@ -104,6 +109,11 @@ class BudgetExceeded(Exception):
         }
 
 
+class CapExceeded(Exception):
+    """The wall-time cap of a trial run (:meth:`Budget.capped`) ran out
+    before any limit of the budget it narrows."""
+
+
 class Budget:
     """A cooperative resource budget for one analysis/parse request.
 
@@ -140,6 +150,7 @@ class Budget:
         "_clock_countdown",
         "_published_checks",
         "_published_exceeded",
+        "_quiet",
     )
 
     def __init__(
@@ -177,6 +188,26 @@ class Budget:
         self._clock_countdown = CLOCK_STRIDE
         self._published_checks = 0
         self._published_exceeded = False
+        self._quiet = False
+
+    @classmethod
+    def capped(cls, budget: "Optional[Budget]", seconds: float) -> "Budget":
+        """*budget* with its deadline narrowed to *seconds* from now.
+
+        When the narrowed deadline trips before the budget's own, the
+        charge raises :class:`CapExceeded`, and neither ``exceeded`` nor
+        the published counters change.  With *budget* None the result is
+        a limitless budget that publishes nothing, so a capped run counts
+        exactly what an ungoverned one would.  :meth:`remaining` and
+        :meth:`expired` read the narrowed deadline.
+        """
+        if budget is None:
+            budget = cls()
+            budget._quiet = True
+        cap = time.monotonic() + seconds
+        if budget._deadline is None or cap < budget._deadline:
+            budget._deadline = cap
+        return budget
 
     # -- introspection -------------------------------------------------
 
@@ -281,6 +312,11 @@ class Budget:
     # -- failure & observability ---------------------------------------
 
     def _exhaust(self, resource: str, limit: float) -> None:
+        # A deadline that passes before the budget's own can only be a cap.
+        if resource == "timeout" and (
+            self.timeout is None or time.monotonic() < self.started + self.timeout
+        ):
+            raise CapExceeded(f"capped run stopped in phase {self.phase!r}")
         self.exceeded = True
         self.publish()
         raise BudgetExceeded(
@@ -291,7 +327,7 @@ class Budget:
         """Absorb the governance counters into the instrument layer
         (``budget.checks`` / ``budget.exceeded``), as deltas so repeated
         calls at phase boundaries never double-count."""
-        if not instrument.enabled():
+        if self._quiet or not instrument.enabled():
             return
         delta = self.checks - self._published_checks
         if delta:

@@ -28,6 +28,7 @@ additive layer on top of the same phase functions.
 from .session import (
     SESSION_PHASES,
     AnalysisSession,
+    PendingRebuild,
     PhaseArtifacts,
     UpdateReport,
 )
@@ -35,6 +36,7 @@ from .session import (
 __all__ = [
     "SESSION_PHASES",
     "AnalysisSession",
+    "PendingRebuild",
     "PhaseArtifacts",
     "UpdateReport",
 ]

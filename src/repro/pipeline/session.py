@@ -6,7 +6,10 @@ the LALR(1) :class:`~repro.tables.table.ParseTable` — as one
 :class:`PhaseArtifacts` bundle, and keeps it **current across edits**:
 
 - :meth:`AnalysisSession.update` classifies the edit with
-  :func:`repro.grammar.delta.classify`;
+  :func:`repro.grammar.delta.classify`; it is :meth:`~AnalysisSession
+  .attempt` (noop, memo restore or splice, each costing what the edit
+  changes) followed, when needed, by :meth:`~AnalysisSession.rebuild`,
+  so a caller can run the two steps in different places;
 - an rhs-only delta runs the splice chain
   (:func:`~repro.automaton.lr0_delta.splice_lr0` →
   :func:`~repro.core.relations_delta.splice_relations` →
@@ -58,7 +61,13 @@ from ..tables.build import build_lalr_table, refill_lalr_table
 from ..tables.cache import TableCache
 from ..tables.table import ParseTable
 
-__all__ = ["AnalysisSession", "PhaseArtifacts", "UpdateReport", "SESSION_PHASES"]
+__all__ = [
+    "AnalysisSession",
+    "PendingRebuild",
+    "PhaseArtifacts",
+    "UpdateReport",
+    "SESSION_PHASES",
+]
 
 #: The artifact-producing phases a session accounts for in its
 #: ``phase.*`` counters (the two digraph passes share the ``digraph``
@@ -158,6 +167,20 @@ class UpdateReport:
         return f"UpdateReport({self.strategy!r}, kind={self.kind!r}, fell_back={self.fell_back})"
 
 
+class PendingRebuild:
+    """An update :meth:`AnalysisSession.attempt` could not finish
+    incrementally: the edited grammar, its classified delta, and the
+    ``fell_back``/``reason`` its :class:`UpdateReport` will carry."""
+
+    __slots__ = ("grammar", "delta", "fell_back", "reason")
+
+    def __init__(self, grammar: Grammar, delta: GrammarDelta, fell_back: bool, reason: str):
+        self.grammar = grammar
+        self.delta = delta
+        self.fell_back = fell_back
+        self.reason = reason
+
+
 class AnalysisSession:
     """A live pipeline over one evolving grammar.
 
@@ -225,20 +248,31 @@ class AnalysisSession:
 
         Returns an :class:`UpdateReport`; afterwards every accessor
         serves artifacts for *grammar*, bit-identical to what a fresh
-        session on *grammar* would hold.
+        session on *grammar* would hold.  This is :meth:`attempt`
+        followed, when the attempt cannot finish the update, by
+        :meth:`rebuild`.
+        """
+        step = self.attempt(grammar)
+        if isinstance(step, PendingRebuild):
+            return self.rebuild(step)
+        return step
+
+    def attempt(self, grammar: Grammar) -> "UpdateReport | PendingRebuild":
+        """The incremental step of :meth:`update`: a noop, a memo restore
+        or a splice, whose cost follows the edit.
+
+        Returns the :class:`UpdateReport` when one of them finished the
+        update, else a :class:`PendingRebuild` that :meth:`rebuild` must
+        complete before the session is touched again (a failed splice
+        has been attempted and counted by then, and is never repeated).
         """
         if not grammar.is_augmented:
             grammar = grammar.augmented()
         self.updates += 1
-        report = self._update(grammar)
-        self.strategy_counts[report.strategy] += 1
-        return report
-
-    def _update(self, grammar: Grammar) -> UpdateReport:
         delta = classify(self.grammar, grammar)
         if delta.is_identical:
             instrument.count("phase.reuse", len(SESSION_PHASES))
-            return UpdateReport(delta.kind, "noop", False, delta.detail)
+            return self._report(UpdateReport(delta.kind, "noop", False, delta.detail))
 
         key = grammar_fingerprint(grammar)
         memoized = self._memo.get(key)
@@ -247,20 +281,34 @@ class AnalysisSession:
             self._remember(self.artifacts)
             self.artifacts = memoized
             instrument.count("phase.reuse", len(SESSION_PHASES))
-            return UpdateReport(
+            return self._report(UpdateReport(
                 delta.kind, "memo", False, "restored memoized artifact bundle"
-            )
+            ))
 
         if delta.is_incremental:
             try:
-                return self._splice(grammar, delta)
+                return self._report(self._splice(grammar, delta))
             except IncrementalFallback as exc:
                 instrument.count("phase.fallback", 1)
-                report = self._rebuild(grammar, delta, fell_back=True, reason=str(exc))
-                return report
-        return self._rebuild(
-            grammar, delta, fell_back=False, reason=delta.detail
-        )
+                return PendingRebuild(grammar, delta, True, str(exc))
+        return PendingRebuild(grammar, delta, False, delta.detail)
+
+    def rebuild(self, pending: "PendingRebuild") -> UpdateReport:
+        """Finish the update :meth:`attempt` left pending with a full
+        rebuild."""
+        self._remember(self.artifacts)
+        self.artifacts = self._build_full(pending.grammar)
+        return self._report(UpdateReport(
+            pending.delta.kind,
+            "rebuild",
+            pending.fell_back,
+            pending.reason,
+            total_states=len(self.artifacts.automaton.states),
+        ))
+
+    def _report(self, report: UpdateReport) -> UpdateReport:
+        self.strategy_counts[report.strategy] += 1
+        return report
 
     def _splice(self, grammar: Grammar, delta: GrammarDelta) -> UpdateReport:
         old = self.artifacts
@@ -293,19 +341,6 @@ class AnalysisSession:
             delta.detail,
             dirty_states=len(dirty_ids),
             total_states=len(automaton.states),
-        )
-
-    def _rebuild(
-        self, grammar: Grammar, delta: GrammarDelta, fell_back: bool, reason: str
-    ) -> UpdateReport:
-        self._remember(self.artifacts)
-        self.artifacts = self._build_full(grammar)
-        return UpdateReport(
-            delta.kind,
-            "rebuild",
-            fell_back,
-            reason,
-            total_states=len(self.artifacts.automaton.states),
         )
 
     # -- internals -----------------------------------------------------

@@ -5,42 +5,45 @@ payloads, call :func:`compile_result` / :func:`analyze_result` /
 :func:`parse_result` / :func:`fuzz_result`, and serialise the result
 dicts canonically — so a served response is bit-identical to calling
 the pipeline directly (a tested contract).  See ALGORITHM.md §16.
+
+Every export is loaded on first use, so ``repro parse`` calls
+:func:`parse_result` without loading the server or asyncio.
 """
 
-from .app import (
-    GrammarService,
-    analyze_result,
-    batch_result,
-    compile_result,
-    fuzz_result,
-    parse_result,
-)
-from .metrics import MetricsRegistry
-from .pool import WorkerCrash, WorkerPool, fork_available
-from .protocol import HttpError, Request, Response, canonical_json
-from .qos import BUDGET_HEADERS, budget_from_headers
-from .server import Client, ClientResponse, ServiceThread, run_server, serve_forever
+from importlib import import_module
 
-__all__ = [
-    "BUDGET_HEADERS",
-    "Client",
-    "ClientResponse",
-    "GrammarService",
-    "HttpError",
-    "MetricsRegistry",
-    "Request",
-    "Response",
-    "ServiceThread",
-    "WorkerCrash",
-    "WorkerPool",
-    "analyze_result",
-    "fork_available",
-    "batch_result",
-    "budget_from_headers",
-    "canonical_json",
-    "compile_result",
-    "fuzz_result",
-    "parse_result",
-    "run_server",
-    "serve_forever",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "BUDGET_HEADERS": "qos",
+    "Client": "server",
+    "ClientResponse": "server",
+    "GrammarService": "app",
+    "HttpError": "protocol",
+    "MetricsRegistry": "metrics",
+    "Request": "protocol",
+    "Response": "protocol",
+    "ServiceThread": "server",
+    "WorkerCrash": "pool",
+    "WorkerPool": "pool",
+    "analyze_result": "app",
+    "batch_result": "app",
+    "budget_from_headers": "qos",
+    "canonical_json": "protocol",
+    "compile_result": "app",
+    "fork_available": "pool",
+    "fuzz_result": "app",
+    "parse_result": "app",
+    "run_server": "server",
+    "serve_forever": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -35,38 +35,53 @@ Four design rules keep the serving layer honest:
   without reading, augmenting or hashing its grammar again.  Both serving
   tiers run a request through the one :func:`execute`.
 
-Pipeline work runs on a thread-pool executor so the event loop stays
-responsive (a short warm LR parse runs on the loop itself: it costs
-less than the hand-off to a thread); per-grammar **session affinity** is a named
-:class:`AnalysisSession` guarded by its own lock, so repeated edits to
-one grammar ride the incremental splice path while other grammars build
-in parallel.
+Where work runs follows one rule: **the event loop runs work whose
+cost is bounded before it starts or capped while it runs, and the
+executor gets the rest**, because a bounded request costs less than the
+hand-off to a thread and back.
+
+- A warm ``/parse`` (handle and table in memory, body at most
+  :data:`QUICK_PARSE_BYTES`) runs on the loop: on the LR engine to the
+  end, on GLR under a :data:`QUICK_GLR_SECONDS` wall-time cap past which
+  it restarts on the executor, its attempt's counters thrown away.
+- Session edits run on the loop while they splice (or are no-ops or
+  memo restores), when the session has at most
+  :data:`QUICK_SESSION_STATES` states and its lock is free; the first
+  edit that needs a rebuild hands the rest of the payload, lock held,
+  to the executor.
+- Everything else, including every stateless request of a process-pool
+  tier, runs on the thread-pool executor or the pool.
+
+Per-grammar **session affinity** is a named :class:`AnalysisSession`
+guarded by its own lock, so repeated edits to one grammar ride the
+incremental splice path while other grammars build in parallel.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core import instrument
-from ..core.budget import Budget, BudgetExceeded
+from ..core.budget import Budget, BudgetExceeded, CapExceeded
 from ..grammar import Grammar, load_grammar
 from ..grammar.delta import add_production, remove_production, replace_rhs
 from ..grammar.errors import GrammarError
 from ..grammar.fingerprint import grammar_fingerprint, text_fingerprint
 from ..grammars import corpus
 from ..parser import ConflictedTableError, ParseError, Parser
-from ..pipeline import AnalysisSession
+from ..pipeline import AnalysisSession, PendingRebuild
 from ..tables import BUILDERS, TableCache, build_table
-from .jobs import Job, JobQueue
 from .metrics import MetricsRegistry
 from .pool import WorkerCrash, WorkerPool, fork_available
 from .protocol import HttpError, Request, Response
 from .qos import budget_exceeded_response, budget_from_headers
+
+if TYPE_CHECKING:
+    from .jobs import Job
 
 __all__ = [
     "GrammarHandles",
@@ -314,12 +329,15 @@ def execute(
     headers: "Dict[str, str]",
     cache: "Optional[TableCache]",
     handles: GrammarHandles,
+    glr_cap: "Optional[float]" = None,
 ) -> dict:
     """One stateless request, as both serving tiers run it: the
-    in-process tier on a request thread, each pool worker with its own
-    *handles*.  Validation runs in this one order (budget headers,
-    method, input, engine, grammar), so both tiers refuse a request
-    with the same bytes."""
+    in-process tier on the event loop or a request thread, each pool
+    worker with its own *handles*.  Validation runs in this one order
+    (budget headers, method, input, engine, grammar), so both tiers
+    refuse a request with the same bytes.  With *glr_cap* a GLR parse
+    runs under :meth:`Budget.capped` and raises :class:`CapExceeded`
+    once that many seconds have passed."""
     if kind == "fuzz":
         return fuzz_result(payload)
     budget = budget_from_headers(headers)
@@ -334,6 +352,8 @@ def execute(
         tree = bool(payload.get("tree"))
         engine = _choice(payload, "engine", "lr", ("lr", "glr"))
         grammar, fingerprint = handles.resolve(payload)
+        if glr_cap is not None and engine == "glr":
+            budget = Budget.capped(budget, glr_cap)
         return parse_result(
             grammar, tokens, method, tree, cache, budget, engine, fingerprint
         )
@@ -412,6 +432,15 @@ def _tokens_of(payload: dict) -> "List[str]":
 #: Largest ``/parse`` body that may run on the event loop.
 QUICK_PARSE_BYTES = 1024
 
+#: Wall-clock seconds a GLR parse may hold the event loop before it
+#: restarts on the executor.  The cap bounds time, not steps: GLR's cost
+#: per step varies by orders of magnitude between grammars.
+QUICK_GLR_SECONDS = 0.002
+
+#: Largest session automaton (LR(0) states) whose edits may run on the
+#: event loop: a splice's cost is bounded by the automaton's size.
+QUICK_SESSION_STATES = 256
+
 
 class GrammarService:
     """Shared state and request handling for one serving process.
@@ -453,6 +482,10 @@ class GrammarService:
         self.cache_dir = cache_dir
         self.handles = GrammarHandles(hot_capacity)
         self.metrics = MetricsRegistry()
+        # Imported here, like asyncio below: the pure result functions
+        # (and `repro parse`, which calls one) never load the event loop.
+        from .jobs import JobQueue
+
         self.jobs = JobQueue(
             self._run_job, workers=job_workers, capacity=queue_capacity,
             ttl=job_ttl,
@@ -584,31 +617,49 @@ class GrammarService:
 
     async def _analyze(self, request: Request) -> Response:
         payload = self._payload(request)
-        if payload.get("session") is not None:
-            # Sessions are mutable in-process state (affinity + locks);
-            # they never cross into the pool.
-            result = await self._run(lambda: self._session_update(payload))
-            return Response.json(result)
-        return await self._execute("analyze", payload, request.headers)
+        if payload.get("session") is None:
+            return await self._execute("analyze", payload, request.headers)
+        # Sessions are mutable in-process state (affinity + locks); they
+        # never cross into the pool.
+        lock = self._quick_session_lock(payload)
+        if lock is None:
+            self.metrics.inc("service.analyze.executor")
+            return Response.json(await self._run(lambda: self._session_update(payload)))
+        self.metrics.inc("service.analyze.inline")
+        steps = self._session_steps(payload, lock)
+        result = self._profiled(lambda: _resume(steps))
+        if result is None:
+            # An edit needs a rebuild: the executor finishes the payload,
+            # still under the session's lock.
+            self.metrics.inc("service.analyze.handoffs")
+            self.metrics.inc("service.analyze.executor")
+            result = await self._run(lambda: _finish(steps))
+        return Response.json(result)
 
     async def _parse(self, request: Request) -> Response:
         payload = self._payload(request)
-        if not self._is_quick(request, payload):
-            return await self._execute("parse", payload, request.headers)
-        return Response.json(self._profiled(
-            lambda: execute("parse", payload, request.headers, self.cache, self.handles)
-        ))
+        if self._is_quick(request, payload):
+            self.metrics.inc("service.parse.inline")
+            try:
+                return Response.json(self._profiled(lambda: execute(
+                    "parse", payload, request.headers, self.cache, self.handles,
+                    glr_cap=QUICK_GLR_SECONDS,
+                )))
+            except CapExceeded:
+                self.metrics.inc("service.parse.restarts")
+        return await self._execute("parse", payload, request.headers)
 
     def _is_quick(self, request: Request, payload: dict) -> bool:
-        """A short LR parse whose handle and table are in memory: cheaper
-        on the event loop than the executor's two thread hand-offs.  GLR
-        never qualifies (cubic at worst)."""
+        """A short parse whose handle and table are in memory.  An LR
+        parse of it is bounded before it starts, and a GLR parse is
+        capped at :data:`QUICK_GLR_SECONDS` while it runs; either costs
+        less on the event loop than the executor's two thread hand-offs."""
         if self.pool is not None or self.cache is None or len(request.body) > QUICK_PARSE_BYTES:
             return False
         handle = self.handles.peek(payload)
         method = payload.get("method", "lalr1")
         return (
-            payload.get("engine", "lr") == "lr" and handle is not None
+            handle is not None
             and isinstance(method, str) and self.cache.is_hot(method, handle[1])
         )
 
@@ -647,9 +698,36 @@ class GrammarService:
     # -- sessions (per-grammar affinity) -------------------------------
 
     def _session_update(self, payload: dict) -> dict:
+        """One session request, whole, on the calling thread."""
+        lock = self._session_lock(str(payload["session"]))
+        lock.acquire()
+        return _finish(self._session_steps(payload, lock))
+
+    def _quick_session_lock(self, payload: dict) -> "Optional[threading.Lock]":
+        """The session's lock, acquired, when this request may run on the
+        event loop: edits (and no grammar) to an open session of at most
+        :data:`QUICK_SESSION_STATES` states whose lock is free.  Else
+        None; the loop never waits for the lock."""
+        if "grammar" in payload or "corpus" in payload or "edits" not in payload:
+            return None
         session_id = str(payload["session"])
         lock = self._session_lock(session_id)
-        with lock:
+        if not lock.acquire(blocking=False):
+            return None
+        session = self.sessions.get(session_id)
+        if session is not None and len(session.automaton.states) <= QUICK_SESSION_STATES:
+            return lock
+        lock.release()
+        return None
+
+    def _session_steps(self, payload: dict, lock: threading.Lock):
+        """One session request as a generator that returns the response
+        body.  It runs with the session's *lock* held and releases it when
+        it ends, however it ends.  It yields before each rebuild, the one
+        step whose cost does not follow the edit: the event loop hands
+        the rest to the executor there, and :func:`_finish` runs through."""
+        try:
+            session_id = str(payload["session"])
             session = self.sessions.get(session_id)
             if "grammar" in payload or "corpus" in payload:
                 grammar = _grammar_from_spec(payload)
@@ -657,17 +735,19 @@ class GrammarService:
                     grammar.augmented(), table_cache=self.cache
                 )
                 self.sessions[session_id] = session
-                reports: "List[str]" = []
             elif session is None:
                 raise HttpError(
                     404, "unknown_session",
                     f"no session {session_id!r}; POST a grammar to open one",
                 )
-            else:
-                reports = []
+            reports: "List[str]" = []
             for edit in payload.get("edits", []):
                 edited = self._apply_edit(session.grammar, edit)
-                reports.append(session.update(edited).describe())
+                step = session.attempt(edited)
+                if isinstance(step, PendingRebuild):
+                    yield
+                    step = session.rebuild(step)
+                reports.append(step.describe())
             table = session.table
             return {
                 "session": session_id,
@@ -678,6 +758,8 @@ class GrammarService:
                 "updates": reports,
                 "strategies": dict(session.strategy_counts),
             }
+        finally:
+            lock.release()
 
     @staticmethod
     def _apply_edit(grammar: Grammar, edit) -> Grammar:
@@ -725,6 +807,9 @@ class GrammarService:
         pool when there is one, else on the request executor.  A typed
         worker exception re-raises here and takes the same `handle()`
         path (and produces the same bytes) as in-process execution."""
+        import asyncio
+
+        self.metrics.inc(f"service.{kind}.executor")
         if self.pool is not None:
             self.metrics.inc("service.pool.dispatched")
             future = self.pool.submit(kind, payload, dict(headers or {}))
@@ -743,17 +828,25 @@ class GrammarService:
 
     def _profiled(self, fn):
         """Call *fn*, folding its instrument counters into the metrics
-        registry even when it raises."""
+        registry even when it raises.  A capped run that stopped
+        (:class:`CapExceeded`) is abandoned, and so are its counters:
+        the executor reruns it from the start."""
         prof = instrument.profile()
         collector = prof.__enter__()
         try:
             return fn()
+        except CapExceeded:
+            collector = None
+            raise
         finally:
             prof.__exit__(None, None, None)
-            self.metrics.absorb(collector.counters)
+            if collector is not None:
+                self.metrics.absorb(collector.counters)
 
     async def _run(self, fn):
         """Run *fn*, profiled, on the request executor."""
+        import asyncio
+
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._request_executor, self._profiled, fn)
 
@@ -773,3 +866,21 @@ class GrammarService:
                 return self.pool.submit("compile", job.payload).result()
             return execute("compile", job.payload, {}, self.cache, self.handles)
         raise HttpError(400, "unknown_job_kind", f"no job kind {job.kind!r}")
+
+
+def _resume(steps) -> "Optional[dict]":
+    """Run a session request's steps (:meth:`GrammarService
+    ._session_steps`) on: its response body, or None at a rebuild."""
+    try:
+        next(steps)
+    except StopIteration as done:
+        return done.value
+    return None
+
+
+def _finish(steps) -> dict:
+    """Run a session request's steps to the end, rebuilds included."""
+    while True:
+        result = _resume(steps)
+        if result is not None:
+            return result

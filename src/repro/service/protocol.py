@@ -22,7 +22,6 @@ and the connection is answered with a 400 and closed.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from http import HTTPStatus
 from typing import Dict, Optional
@@ -162,6 +161,8 @@ async def read_request(reader: asyncio.StreamReader) -> "Optional[Request]":
     non-numeric Content-Length, over-long headers or body, truncation
     mid-request).
     """
+    import asyncio  # here, so the pure result functions never load it
+
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as error:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.automaton import LR0Automaton
 from repro.core import Budget, BudgetExceeded, LalrAnalysis, instrument
+from repro.core.budget import CLOCK_STRIDE, CapExceeded
 from repro.core.parallel import fork_available, parallel_imap
 from repro.grammar import load_grammar
 from repro.grammars import corpus, state_explosion_family
@@ -154,6 +155,63 @@ class TestEngineBudget:
         tree = parser.parse(["a", "a", "a"], budget=budget)
         assert tree is not None
         assert budget.tokens == 3
+
+
+class TestCappedBudget:
+    """`Budget.capped` narrows a deadline for a run its caller may
+    abandon: the cap raises CapExceeded, the budget's own limits raise
+    BudgetExceeded as before."""
+
+    def test_the_cap_raises_cap_exceeded(self):
+        budget = Budget.capped(Budget(max_states=10), 0.0)
+        with pytest.raises(CapExceeded):
+            budget.enter_phase("parse.glr")
+        assert not budget.exceeded
+
+    def test_own_limits_still_raise(self):
+        budget = Budget.capped(Budget(max_parse_steps=2), 60.0)
+        with pytest.raises(BudgetExceeded) as info:
+            for _ in range(3):
+                budget.charge_parse_step()
+        assert info.value.resource == "max_parse_steps"
+        assert budget.exceeded
+
+    def test_an_earlier_own_deadline_is_the_budgets(self):
+        budget = Budget.capped(Budget(timeout=0.0), 60.0)
+        with pytest.raises(BudgetExceeded) as info:
+            budget.enter_phase("parse.glr")
+        assert info.value.resource == "timeout" and info.value.limit == 0.0
+
+    def test_a_passed_own_deadline_wins_over_the_cap(self):
+        budget = Budget.capped(Budget(timeout=0.0), 0.0)
+        with pytest.raises(BudgetExceeded) as info:
+            budget.enter_phase("parse.glr")
+        assert info.value.resource == "timeout"
+
+    def test_the_strided_clock_trips_the_cap(self):
+        budget = Budget.capped(None, 0.0)
+        with pytest.raises(CapExceeded):
+            for _ in range(CLOCK_STRIDE):
+                budget.charge_parse_step()
+        assert budget.checks == CLOCK_STRIDE
+
+    def test_a_cap_alone_publishes_nothing(self):
+        with instrument.profile() as collector:
+            budget = Budget.capped(None, 60.0)
+            build_lalr_table(expr(), budget=budget)
+            with pytest.raises(CapExceeded):
+                Budget.capped(None, 0.0).enter_phase("parse")
+        assert budget.checks > 0
+        assert not any(name.startswith("budget.") for name in collector.counters)
+
+    def test_a_capped_budget_publishes_as_before(self):
+        with instrument.profile() as plain:
+            build_lalr_table(expr(), budget=Budget(max_states=10_000))
+        with instrument.profile() as capped:
+            build_lalr_table(
+                expr(), budget=Budget.capped(Budget(max_states=10_000), 60.0)
+            )
+        assert capped.counters["budget.checks"] == plain.counters["budget.checks"]
 
 
 class TestParallelBudget:

@@ -1,8 +1,13 @@
 """Integration tests: the command-line interface."""
 
 import io
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +329,29 @@ class TestParse:
         code, output = run(["parse", grammar_file, "--input", "id +"])
         assert code == 1
         assert "invalid" in output
+
+    def test_loads_neither_the_server_nor_asyncio(self):
+        """``repro parse`` calls the served ``parse_result`` without the
+        serving layer's start-up cost."""
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.cli import main
+            code = main(["parse", "corpus:expr", "--input", "id + id"])
+            loaded = [m for m in ("asyncio", "repro.service.server") if m in sys.modules]
+            print(code, loaded)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["valid", "0 []"]
 
     def test_tree_flag(self, grammar_file):
         code, output = run(["parse", grammar_file, "--input", "id", "--tree"])

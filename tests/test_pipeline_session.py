@@ -16,7 +16,7 @@ from repro.core.lalr import LalrAnalysis
 from repro.grammar import load_grammar
 from repro.grammar.delta import DeltaKind, add_production, replace_rhs
 from repro.grammars import corpus
-from repro.pipeline import AnalysisSession, SESSION_PHASES
+from repro.pipeline import AnalysisSession, PendingRebuild, SESSION_PHASES
 from repro.tables.build import build_lalr_table
 
 EXPR = """
@@ -160,6 +160,49 @@ class TestCounters:
             session.update(edited)
         assert collector.counters.get("phase.fallback") == 1
         assert collector.counters.get("phase.recompute") == len(SESSION_PHASES)
+
+
+class TestAttemptThenRebuild:
+    """``update`` is ``attempt`` and, when it cannot finish, ``rebuild``:
+    callers that split the two (the service runs attempts on its event
+    loop and rebuilds on a thread) get the same reports and counters."""
+
+    @pytest.mark.parametrize(
+        "edit, fell_back",
+        [
+            (lambda g: replace_rhs(g, 1, ["E", ")", "T"]), True),
+            (lambda g: add_production(g, "F", ["id", "id"]), False),
+        ],
+        ids=["fallback", "structural"],
+    )
+    def test_a_rebuild_is_left_pending(self, grammar, edit, fell_back):
+        session = AnalysisSession(grammar)
+        edited = edit(grammar)
+        with instrument.profile() as attempted:
+            pending = session.attempt(edited)
+        assert isinstance(pending, PendingRebuild)
+        assert pending.fell_back is fell_back
+        assert session.grammar is grammar  # nothing changed yet
+        assert session.updates == 1 and sum(session.strategy_counts.values()) == 0
+        assert attempted.counters.get("phase.fallback", 0) == int(fell_back)
+        assert not attempted.counters.get("phase.recompute")
+        report = session.rebuild(pending)
+
+        whole = AnalysisSession(grammar)
+        expected = whole.update(edit(grammar))
+        assert report.describe() == expected.describe()
+        assert report.fell_back is expected.fell_back
+        assert session.strategy_counts == whole.strategy_counts
+        assert session.updates == whole.updates == 1
+        assert_matches_scratch(session)
+
+    def test_incremental_steps_finish_in_the_attempt(self, grammar):
+        session = AnalysisSession(grammar)
+        edited = replace_rhs(grammar, 1, ["E", "*", "T"])
+        strategies = [session.attempt(g).strategy for g in (edited, edited, grammar)]
+        assert strategies == ["splice", "noop", "memo"]
+        assert session.strategy_counts == {"noop": 1, "memo": 1, "splice": 1, "rebuild": 0}
+        assert session.updates == 3
 
 
 class TestCorpusEditChains:

@@ -7,9 +7,11 @@ answers (and the refusals) stay byte-identical to a fresh resolution.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.service.app import GrammarHandles
 from repro.tables import TableCache, build_lalr_table
 
 PARSE = {"corpus": "expr", "input": "id + id * id"}
+GLR_PARSE = {"corpus": "dangling_else", "input": "if other", "engine": "glr"}
+MINI_C = "int ID ( char ID , void ID ) { int ID ; ID = ID ( * - ! ID ) ; }"
 
 #: 4xx refusals and their exact bodies: no memo may change or keep them.
 REFUSALS = [
@@ -275,21 +279,73 @@ class TestQuickParse:
         assert threads[0].startswith("repro-req")  # cold: builds the table
         assert threads[1:] == ["repro-serve", "repro-serve"]
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"corpus": "dangling_else", "input": "if e then s", "engine": "glr"},
-            {"corpus": "expr", "input": " + ".join(["id"] * 400)},
-        ],
-        ids=["glr", "long-body"],
-    )
-    def test_glr_and_long_bodies_stay_on_the_executor(self, tmp_path, threads, payload):
+    def test_long_bodies_stay_on_the_executor(self, tmp_path, threads):
+        payload = {"corpus": "expr", "input": " + ".join(["id"] * 400)}
         with ServiceThread(cache_dir=str(tmp_path)) as thread:
             client = Client(thread.port)
             for _ in range(3):
                 assert client.post("/parse", payload).status == 200
         assert len(threads) == 3
         assert all(name.startswith("repro-req") for name in threads)
+
+    def test_glr_under_the_cap_runs_on_the_loop(self, tmp_path, threads):
+        with ServiceThread(cache_dir=str(tmp_path)) as thread:
+            client = Client(thread.port)
+            for _ in range(3):
+                assert client.post("/parse", GLR_PARSE).json()["trees"] == 1
+            counters = _counters(client)
+        assert threads[0].startswith("repro-req")  # cold: builds the table
+        assert threads[1:] == ["repro-serve", "repro-serve"]
+        assert counters["service.parse.inline"] == 2
+        assert counters["service.parse.executor"] == 1
+        assert "service.parse.restarts" not in counters
+
+    def test_glr_past_the_cap_restarts_on_the_executor(self, tmp_path, threads, monkeypatch):
+        monkeypatch.setattr(app, "QUICK_GLR_SECONDS", 0)
+        with ServiceThread(cache_dir=str(tmp_path)) as thread:
+            client = Client(thread.port)
+            for _ in range(3):
+                assert client.post("/parse", GLR_PARSE).json()["trees"] == 1
+            counters = _counters(client)
+        assert threads[0].startswith("repro-req")
+        # Each warm request starts on the loop, trips the cap, reruns.
+        assert threads[1::2] == ["repro-serve", "repro-serve"]
+        assert all(name.startswith("repro-req") for name in threads[2::2])
+        assert len(threads) == 5
+        assert counters["service.parse.inline"] == 2
+        assert counters["service.parse.restarts"] == 2
+        assert counters["service.parse.executor"] == 3
+        assert "service.budget_exceeded" not in counters
+
+    def test_abandoned_attempts_leave_no_counters(self, tmp_path, monkeypatch):
+        """A restart counts what one executor run counts, a user budget
+        that trips inline counts what it counts on the executor, and a
+        cap alone publishes no budget counters."""
+        requests = [
+            (GLR_PARSE, {}),
+            (GLR_PARSE, {"X-Repro-Max-Parse-Steps": "3"}),
+            (GLR_PARSE, {"X-Repro-Timeout": "60"}),
+        ]
+
+        def counters(label: str) -> dict:
+            with ServiceThread(cache_dir=str(tmp_path / label)) as thread:
+                client = Client(thread.port)
+                for _ in range(3):
+                    for payload, headers in requests:
+                        client.post("/parse", payload, headers)
+                kept = ("budget.", "glr.", "parse.", "phase.", "service.budget_exceeded")
+                return {
+                    name: value for name, value in _counters(client).items()
+                    if name.startswith(kept)
+                }
+
+        inline = counters("inline")
+        assert inline["service.budget_exceeded"] == 3
+        assert inline["budget.exceeded"] == 3
+        monkeypatch.setattr(app, "QUICK_GLR_SECONDS", 0)
+        assert counters("restart") == inline
+        monkeypatch.setattr(app, "QUICK_PARSE_BYTES", -1)
+        assert counters("executor") == inline
 
     @pytest.mark.parametrize(
         "options", [{"cache_dir": ""}, {"hot_capacity": 0}], ids=["no-store", "no-hot-lru"]
@@ -317,6 +373,17 @@ class TestQuickParse:
             (PARSE, {"X-Repro-Max-Tokens": "many"}),
             ({**grammar, "input": "a a b"}, {}),
             ({**grammar, "input": "a a"}, {}),
+            (GLR_PARSE, {}),
+            ({**GLR_PARSE, "input": "if if other else other"}, {}),
+            ({**GLR_PARSE, "input": "if if other else other", "tree": True}, {}),
+            ({**GLR_PARSE, "input": "if else"}, {}),
+            ({**GLR_PARSE, "engine": "cyk"}, {}),
+            ({"corpus": "mini_c", "input": MINI_C, "engine": "glr"}, {}),
+            ({"corpus": "mini_c", "input": MINI_C, "engine": "glr", "tree": True}, {}),
+            (GLR_PARSE, {"X-Repro-Max-Parse-Steps": "3"}),
+            (GLR_PARSE, {"X-Repro-Max-Tokens": "2", "X-Repro-Timeout": "60"}),
+            (GLR_PARSE, {"X-Repro-Timeout": "0"}),
+            (GLR_PARSE, {"X-Repro-Timeout": "60"}),
         ]
 
         def serve(label: str) -> list:
@@ -332,9 +399,12 @@ class TestQuickParse:
                 return answers
 
         quick = serve("quick")
+        monkeypatch.setattr(app, "QUICK_GLR_SECONDS", 0)
+        assert serve("restart") == quick
         monkeypatch.setattr(app, "QUICK_PARSE_BYTES", -1)
         assert serve("executor") == quick
         assert quick[0] == (200, b'{"grammar":"expr","valid":true}\n')
+        assert (200, b'{"grammar":"dangling_else","trees":2,"valid":true}\n') in quick
 
     def test_is_hot_follows_the_hot_lru(self, tmp_path):
         grammar = corpus.load("expr").augmented()
@@ -347,3 +417,193 @@ class TestQuickParse:
         cold = TableCache(str(tmp_path))
         assert cold.load(grammar, "lalr1", fingerprint) is not None
         assert not cold.is_hot("lalr1", fingerprint)
+
+
+def _set(rhs: str) -> dict:
+    """toy_java's ``opt_extends -> extends ID``, rewritten to *rhs*."""
+    return {"op": "set", "index": 6, "rhs": rhs}
+
+
+#: One session's request stream over toy_java (178 states), with the
+#: strategy each edit takes.
+SESSION_STREAM = [
+    ({"session": "s", "corpus": "toy_java"}, []),
+    ({"session": "s", "edits": [_set("NUM ID")]}, ["splice"]),
+    ({"session": "s", "edits": [_set("NUM ID")]}, ["noop"]),
+    ({"session": "s", "edits": [_set("extends ID")]}, ["memo"]),
+    ({"session": "s", "edits": [_set("ID")]}, ["fallback"]),
+    # Falls back mid-way: the executor finishes the payload.
+    (
+        {"session": "s", "edits": [_set("NUM"), _set("STRING ID"), _set("void ID"),
+                                   _set("void ID")]},
+        ["splice", "fallback", "splice", "noop"],
+    ),
+    ({"session": "s", "edits": [{"op": "add", "lhs": "opt_extends", "rhs": "ID"}]},
+     ["rebuild"]),
+    # A refused edit after a splice: the splice stays, the answer is a 422.
+    ({"session": "s", "edits": [_set("int ID"), {"op": "set", "index": 999}]}, []),
+    ({"session": "s", "edits": "nope"}, []),
+    ({"session": "s"}, []),
+    ({"session": "never", "edits": []}, []),
+]
+
+
+def _strategy(report: str) -> str:
+    strategy = report.split(" ", 1)[0]
+    return "fallback" if strategy == "rebuild" and "(rhs)" in report else strategy
+
+
+class TestQuickSessionEdits:
+    """Edits to a small open session run on the event loop up to the
+    first rebuild; the executor finishes the payload under the same
+    lock, and the bytes never change."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(step, thread name) of every session attempt and rebuild."""
+        from repro.pipeline.session import AnalysisSession
+
+        seen: list = []
+        for step in ("attempt", "rebuild"):
+            real = getattr(AnalysisSession, step)
+
+            def record(self, arg, _real=real, _step=step):
+                seen.append((_step, threading.current_thread().name))
+                return _real(self, arg)
+
+            monkeypatch.setattr(AnalysisSession, step, record)
+        return seen
+
+    @staticmethod
+    def _serve(tmp_path, label: str):
+        with ServiceThread(cache_dir=str(tmp_path / label)) as thread:
+            client = Client(thread.port)
+            answers = [
+                (response.status, response.body)
+                for response in (
+                    client.post("/analyze", payload) for payload, _ in SESSION_STREAM
+                )
+            ]
+            metrics = client.get("/metrics?format=json").json()
+        return answers, metrics
+
+    def test_bytes_match_the_executor_path(self, tmp_path, monkeypatch):
+        inline, inline_metrics = self._serve(tmp_path, "inline")
+        for (payload, strategies), (status, body) in zip(SESSION_STREAM, inline):
+            if strategies:
+                reports = json.loads(body)["updates"]
+                assert [_strategy(r) for r in reports] == strategies, reports
+        assert [status for status, _ in inline] == [
+            200, 200, 200, 200, 200, 200, 200, 422, 400, 200, 404
+        ]
+        monkeypatch.setattr(app, "QUICK_SESSION_STATES", -1)
+        executor, executor_metrics = self._serve(tmp_path, "executor")
+        assert executor == inline
+        assert executor_metrics["sessions"] == inline_metrics["sessions"]
+        kept = ("phase.", "budget.", "parse.")
+        assert {
+            k: v for k, v in executor_metrics["counters"].items() if k.startswith(kept)
+        } == {k: v for k, v in inline_metrics["counters"].items() if k.startswith(kept)}
+        counters = inline_metrics["counters"]
+        # Inline: every edit payload to the open session (8); on the
+        # executor: the open, the status query, the unknown session and
+        # the three payloads handed off at a rebuild.
+        assert counters["service.analyze.inline"] == 8
+        assert counters["service.analyze.handoffs"] == 3
+        assert counters["service.analyze.executor"] == 3 + 3
+        assert "service.analyze.inline" not in executor_metrics["counters"]
+
+    def test_rebuilds_run_on_the_executor_and_splices_on_the_loop(self, tmp_path, calls):
+        self._serve(tmp_path, "inline")
+        expected = []
+        for payload, strategies in SESSION_STREAM[1:7]:
+            handed_off = False
+            for strategy in strategies:
+                expected.append(("attempt", "executor" if handed_off else "loop"))
+                if strategy in ("fallback", "rebuild"):
+                    expected.append(("rebuild", "executor"))
+                    handed_off = True
+        where = [
+            (step, "loop" if name == "repro-serve" else "executor")
+            for step, name in calls
+        ]
+        # No failed splice is attempted twice.
+        assert where[: len(expected)] == expected
+
+    def test_a_held_lock_sends_the_edit_to_the_executor(self, tmp_path, calls):
+        with ServiceThread(cache_dir=str(tmp_path)) as thread:
+            client = Client(thread.port)
+            client.post("/analyze", SESSION_STREAM[0][0])
+            lock = thread.service._session_lock("s")
+            answers: list = []
+            with lock:
+                editor = threading.Thread(target=lambda: answers.append(
+                    Client(thread.port).post("/analyze", SESSION_STREAM[1][0])
+                ))
+                editor.start()
+                # The loop answers others while the edit waits for the lock.
+                for _ in range(3):
+                    assert client.get("/healthz").status == 200
+                assert not answers
+            editor.join(timeout=30)
+            counters = _counters(client)
+        assert answers[0].status == 200
+        assert [name for step, name in calls] == [calls[0][1]]
+        assert calls[0][1].startswith("repro-req")
+        assert "service.analyze.inline" not in counters
+
+    def test_large_sessions_stay_on_the_executor(self, tmp_path, calls, monkeypatch):
+        monkeypatch.setattr(app, "QUICK_SESSION_STATES", 150)  # toy_java: 177-178
+        self._serve(tmp_path, "large")
+        assert all(name.startswith("repro-req") for _, name in calls)
+
+
+class TestTheLoopIsNeverHeld:
+    E3 = {"grammar": "E -> E E E | a", "name": "e3", "engine": "glr"}
+
+    def test_a_long_glr_parse_lets_other_clients_in(self, tmp_path, monkeypatch):
+        """61 tokens of ``E -> E E E | a`` take ~0.4 s: far past the cap,
+        in a body well under 1 KiB."""
+        inline_seconds: list = []  # the loop thread's CPU time per attempt
+        real = app.execute
+
+        def execute(*args, **kwargs):
+            started = time.thread_time()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                if threading.current_thread().name == "repro-serve":
+                    inline_seconds.append(time.thread_time() - started)
+
+        monkeypatch.setattr(app, "execute", execute)
+        slow = {**self.E3, "input": " ".join(["a"] * 61)}
+
+        def serve(label: str):
+            with ServiceThread(cache_dir=str(tmp_path / label)) as thread:
+                client, probe = Client(thread.port), Client(thread.port)
+                for _ in range(2):  # cold, then hot: the table is in memory
+                    client.post("/parse", {**self.E3, "input": "a"})
+                answers: list = []
+                parser = threading.Thread(
+                    target=lambda: answers.append(client.post("/parse", slow))
+                )
+                started = time.perf_counter()
+                parser.start()
+                waits = []
+                while parser.is_alive():
+                    asked = time.perf_counter()
+                    assert probe.get("/healthz").status == 200
+                    waits.append(time.perf_counter() - asked)
+                parser.join()
+                return answers[0], waits, time.perf_counter() - started
+
+        inline, waits, parse_seconds = serve("inline")
+        assert inline.status == 200 and inline.json()["trees"] == 1000
+        # The loop held the slow parse for about one cap, not its ~0.4 s.
+        assert len(inline_seconds) == 2 and inline_seconds[-1] < 0.02
+        # Other clients got in all along.  Loose: each probe still waits
+        # for the GIL that the executor's parse holds.
+        assert len(waits) > 2 and max(waits) < parse_seconds / 2
+        monkeypatch.setattr(app, "QUICK_PARSE_BYTES", -1)
+        executor, _, _ = serve("executor")
+        assert executor.body == inline.body
