@@ -263,123 +263,123 @@ def _only_tree(root) -> Node:
 
 def _tree_list(node, memo: dict, on_path: set, limit: int):
     """All (up to *limit*) trees rooted at *node*; None = cycle guard hit."""
-    return _walk(node, memo, on_path, limit, False)
+    return _run(_tree_list_walk(node, memo, on_path, limit))
 
 
 def _tree_count(node, memo: dict, on_path: set, limit: int):
     """``len(_tree_list(node, ...))`` without the trees: the same walk,
     memo, cycle guard, truncation points and "clean" rule, over
     saturating integers instead of lists.  None = cycle guard hit."""
-    return _walk(node, memo, on_path, limit, True)
+    return _run(_tree_count_walk(node, memo, on_path, limit))
 
 
-#: :func:`_walk`'s marker for "a node was just opened; no result yet".
-_OPENED = object()
-
-
-def _walk(root, memo: dict, on_path: set, limit: int, count: bool):
-    """The derivation walk behind :func:`_tree_list` (*count* False: lists
-    of trees) and :func:`_tree_count` (*count* True: saturating ints).
-
-    It is the depth-first recursion over families and their children,
-    run on an explicit stack so that a forest as deep as the input is
-    long does not hit the recursion limit.  Per node, in this order: a
-    memo hit answers; a leaf answers (and is memoized); a node already
-    on the path answers None (the cycle guard); anything else is opened.
-    An open node folds its children's results family by family: a None
-    or empty child empties the family (None also makes the node
-    unclean), and truncation at *limit* makes it unclean.  A closed node
-    is memoized only when clean.
-    """
-    stack: list = []  # the open ancestors' registers
-    opened = False  # whether the registers below hold an open node
-    key = families = combos = out = None
-    index = child = 0
-    clean = True
-    node = root
+def _run(walk):
+    """Drive a walk written as a recursion whose recursive calls are
+    ``yield sub_walk`` (the sub-walk's result is sent back in), on an
+    explicit stack, so a forest as deep as the input is long does not
+    hit the recursion limit.  The walks read a child's memo entry before
+    starting a sub-walk for it, which answers the same and saves making
+    a generator for every shared node and leaf."""
+    stack: list = []
+    result = None
     while True:
-        # -- enter `node`: answer it at once, or open it ---------------------
-        node_key = id(node)
-        result = memo.get(node_key)
-        if result is None:
-            node_families = _families(node)
-            if not node_families:
-                if count:
-                    result = 1
-                else:
-                    token = node[0]
-                    result = [Node(token.symbol, value=token.value)]
-                memo[node_key] = result
-            elif node_key not in on_path:
-                on_path.add(node_key)
-                if opened:
-                    stack.append((key, families, index, child, combos, out, clean))
-                opened = True
-                key, families, index, child, clean = node_key, node_families, 0, 0, True
-                combos, out = (1, 0) if count else ([[]], [])
-                result = _OPENED
-        # -- hand `result` up until some open node names its next child ------
-        while True:
-            if not opened:
-                return result
-            if result is not _OPENED:
-                # `result` answers child `child` of family `index`.
-                if result is None or not result:
-                    if result is None:
-                        clean = False
-                    combos = 0 if count else []
-                    child = len(families[index][1])
-                else:
-                    if count:
-                        combos *= result
-                        if combos > limit:
-                            combos = limit
-                            clean = False
-                    else:
-                        combos = [prefix + [tree] for prefix in combos for tree in result]
-                        if len(combos) > limit:
-                            combos = combos[:limit]
-                            clean = False
-                    child += 1
-            closed = False
-            while True:
-                if index == len(families):
-                    closed = True
-                    break
-                production, children = families[index]
-                if child < len(children):
-                    break
-                # Every child of this family is folded in (or it broke off).
-                if count:
-                    if combos:
-                        out = min(out + combos, limit)
-                        if out >= limit:
-                            clean = False
-                            closed = True
-                            break
-                else:
-                    for combo in combos:
-                        out.append(Node(production.lhs, combo, production=production))
-                        if len(out) >= limit:
-                            clean = False
-                            break
-                    if len(out) >= limit:
-                        closed = True
-                        break
-                index += 1
-                child = 0
-                combos = 1 if count else [[]]
-            if not closed:
-                node = children[child]
+        try:
+            sub = walk.send(result)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            walk, result = stack.pop(), done.value
+        else:
+            stack.append(walk)
+            walk, result = sub, None
+
+
+def _tree_list_walk(node, memo: dict, on_path: set, limit: int):
+    key = id(node)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    families = _families(node)
+    if not families:
+        token = node[0]
+        leaves = [Node(token.symbol, value=token.value)]
+        memo[key] = leaves
+        return leaves
+    if key in on_path:
+        return None
+    on_path.add(key)
+    out = []
+    clean = True
+    for production, children in families:
+        combos = [[]]
+        for child in children:
+            sub = memo.get(id(child))
+            if sub is None:
+                sub = yield _tree_list_walk(child, memo, on_path, limit)
+            if sub is None:
+                clean = False
+                combos = []
                 break
-            on_path.discard(key)
-            if clean:
-                memo[key] = out
-            result = out
-            if stack:
-                key, families, index, child, combos, out, clean = stack.pop()
-            else:
-                opened = False
+            if not sub:
+                combos = []
+                break
+            combos = [prefix + [tree] for prefix in combos for tree in sub]
+            if len(combos) > limit:
+                combos = combos[:limit]
+                clean = False
+        for combo in combos:
+            out.append(Node(production.lhs, combo, production=production))
+            if len(out) >= limit:
+                clean = False
+                break
+        if len(out) >= limit:
+            break
+    on_path.discard(key)
+    if clean:
+        memo[key] = out
+    return out
+
+
+def _tree_count_walk(node, memo: dict, on_path: set, limit: int):
+    key = id(node)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    families = _families(node)
+    if not families:
+        memo[key] = 1
+        return 1
+    if key in on_path:
+        return None
+    on_path.add(key)
+    total = 0
+    clean = True
+    for _production, children in families:
+        combos = 1
+        for child in children:
+            sub = memo.get(id(child))
+            if sub is None:
+                sub = yield _tree_count_walk(child, memo, on_path, limit)
+            if sub is None:
+                clean = False
+                combos = 0
+                break
+            if not sub:
+                combos = 0
+                break
+            combos *= sub
+            if combos > limit:
+                combos = limit
+                clean = False
+        if combos:
+            total = min(total + combos, limit)
+            if total >= limit:
+                clean = False
+                break
+    on_path.discard(key)
+    if clean:
+        memo[key] = total
+    return total
 
 
 class GlrParser:

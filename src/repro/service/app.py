@@ -45,10 +45,10 @@ hand-off to a thread and back.
   end, on GLR under a :data:`QUICK_GLR_SECONDS` wall-time cap past which
   it restarts on the executor, its attempt's counters thrown away.
 - Session edits run on the loop while they splice (or are no-ops or
-  memo restores), when the session has at most
-  :data:`QUICK_SESSION_STATES` states and its lock is free; the first
-  edit that needs a rebuild hands the rest of the payload, lock held,
-  to the executor.
+  memo restores), when their body is at most :data:`QUICK_PARSE_BYTES`,
+  the session has at most :data:`QUICK_SESSION_STATES` states and its
+  lock is free; the first edit that needs a rebuild hands the rest of
+  the payload, lock held, to the executor.
 - Everything else, including every stateless request of a process-pool
   tier, runs on the thread-pool executor or the pool.
 
@@ -429,7 +429,8 @@ def _tokens_of(payload: dict) -> "List[str]":
 # ---------------------------------------------------------------------------
 
 
-#: Largest ``/parse`` body that may run on the event loop.
+#: Largest request body that may run on the event loop: a ``/parse``,
+#: or a session edit payload, whose edit count it bounds.
 QUICK_PARSE_BYTES = 1024
 
 #: Wall-clock seconds a GLR parse may hold the event loop before it
@@ -621,7 +622,7 @@ class GrammarService:
             return await self._execute("analyze", payload, request.headers)
         # Sessions are mutable in-process state (affinity + locks); they
         # never cross into the pool.
-        lock = self._quick_session_lock(payload)
+        lock = self._quick_session_lock(request, payload)
         if lock is None:
             self.metrics.inc("service.analyze.executor")
             return Response.json(await self._run(lambda: self._session_update(payload)))
@@ -703,12 +704,19 @@ class GrammarService:
         lock.acquire()
         return _finish(self._session_steps(payload, lock))
 
-    def _quick_session_lock(self, payload: dict) -> "Optional[threading.Lock]":
+    def _quick_session_lock(
+        self, request: Request, payload: dict
+    ) -> "Optional[threading.Lock]":
         """The session's lock, acquired, when this request may run on the
-        event loop: edits (and no grammar) to an open session of at most
-        :data:`QUICK_SESSION_STATES` states whose lock is free.  Else
-        None; the loop never waits for the lock."""
-        if "grammar" in payload or "corpus" in payload or "edits" not in payload:
+        event loop: edits (and no grammar) in a body of at most
+        :data:`QUICK_PARSE_BYTES`, to an open session of at most
+        :data:`QUICK_SESSION_STATES` states whose lock is free.  The two
+        sizes bound the edit count and each splice's cost.  Else None;
+        the loop never waits for the lock."""
+        if (
+            len(request.body) > QUICK_PARSE_BYTES
+            or "grammar" in payload or "corpus" in payload or "edits" not in payload
+        ):
             return None
         session_id = str(payload["session"])
         lock = self._session_lock(session_id)
@@ -829,13 +837,18 @@ class GrammarService:
     def _profiled(self, fn):
         """Call *fn*, folding its instrument counters into the metrics
         registry even when it raises.  A capped run that stopped
-        (:class:`CapExceeded`) is abandoned, and so are its counters:
-        the executor reruns it from the start."""
+        (:class:`CapExceeded`) is abandoned, and so are its counters and
+        the cache's tally of its hot hits: the executor reruns it from
+        the start."""
         prof = instrument.profile()
         collector = prof.__enter__()
         try:
             return fn()
         except CapExceeded:
+            if self.cache is not None:
+                self.cache.forget_hot_hits(
+                    collector.counters.get("table.cache.hot_hits", 0)
+                )
             collector = None
             raise
         finally:

@@ -198,6 +198,13 @@ class TableCache:
         with self._hot_lock:
             return (method, fingerprint) in self._hot
 
+    def forget_hot_hits(self, count: int) -> None:
+        """Take back *count* hot hits of lookups whose work was abandoned
+        and is rerun, so :meth:`stats` counts the rerun's lookup only."""
+        if count:
+            with self._hot_lock:
+                self.hot_hits -= count
+
     def _hot_put(self, key: "Tuple[str, str]", table: ParseTable) -> None:
         if not self.hot_capacity:
             return

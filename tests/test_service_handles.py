@@ -306,7 +306,8 @@ class TestQuickParse:
             client = Client(thread.port)
             for _ in range(3):
                 assert client.post("/parse", GLR_PARSE).json()["trees"] == 1
-            counters = _counters(client)
+            metrics = client.get("/metrics?format=json").json()
+        counters = metrics["counters"]
         assert threads[0].startswith("repro-req")
         # Each warm request starts on the loop, trips the cap, reruns.
         assert threads[1::2] == ["repro-serve", "repro-serve"]
@@ -316,6 +317,9 @@ class TestQuickParse:
         assert counters["service.parse.restarts"] == 2
         assert counters["service.parse.executor"] == 3
         assert "service.budget_exceeded" not in counters
+        # The abandoned attempts' hot lookups count nowhere: one hit per
+        # rerun, in the cache section as in the instrument counter.
+        assert metrics["cache"]["hot_hits"] == counters["table.cache.hot_hits"] == 2
 
     def test_abandoned_attempts_leave_no_counters(self, tmp_path, monkeypatch):
         """A restart counts what one executor run counts, a user budget
@@ -551,6 +555,24 @@ class TestQuickSessionEdits:
         assert [name for step, name in calls] == [calls[0][1]]
         assert calls[0][1].startswith("repro-req")
         assert "service.analyze.inline" not in counters
+
+    def test_long_edit_payloads_stay_on_the_executor(self, tmp_path, calls):
+        """A body over :data:`QUICK_PARSE_BYTES` could list edits by the
+        thousand, each a splice or memo restore: not bounded, so it never
+        starts on the loop."""
+        edits = [_set(rhs) for rhs in ("NUM ID", "extends ID") * 20]
+        assert len(json.dumps({"session": "s", "edits": edits})) > app.QUICK_PARSE_BYTES
+        with ServiceThread(cache_dir=str(tmp_path)) as thread:
+            client = Client(thread.port)
+            client.post("/analyze", SESSION_STREAM[0][0])
+            response = client.post("/analyze", {"session": "s", "edits": edits})
+            counters = _counters(client)
+        reports = response.json()["updates"]
+        assert [_strategy(r) for r in reports] == ["splice"] + ["memo"] * 39
+        assert len(calls) == 40
+        assert all(name.startswith("repro-req") for _, name in calls)
+        assert "service.analyze.inline" not in counters
+        assert counters["service.analyze.executor"] == 2
 
     def test_large_sessions_stay_on_the_executor(self, tmp_path, calls, monkeypatch):
         monkeypatch.setattr(app, "QUICK_SESSION_STATES", 150)  # toy_java: 177-178
